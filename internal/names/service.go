@@ -39,9 +39,12 @@ type Binding struct {
 	// after it. The slice is immutable once published; callers must
 	// not modify it.
 	Locations []Location
-	// Epoch increments on every mutation of this name's binding. A
-	// cached binding with an older epoch is stale even if its lease
-	// has not yet expired.
+	// Epoch strictly increases with every mutation of this name's
+	// binding (Bind, BindReplica, Unbind), including across an unbind
+	// and a later rebind. It is taken from the owning shard's
+	// generation, so successive epochs of one name may step by more
+	// than 1. A cached binding with an older epoch is stale even if its
+	// lease has not yet expired.
 	Epoch uint64
 	// Lease is the TTL granted by the authority for caching this
 	// binding.
@@ -146,9 +149,15 @@ func shardIndex(n Name) uint32 {
 
 func (s *Service) shard(n Name) *shard { return &s.shards[shardIndex(n)] }
 
+// nextEpoch is the generation the next publish of sh installs; the
+// caller holds sh.mu. Stamping a binding with it keeps per-name epochs
+// strictly increasing even across Unbind, which deletes the entry and
+// so leaves no per-name counter to continue from.
+func (sh *shard) nextEpoch() uint64 { return sh.snap.Load().epoch + 1 }
+
 // publish installs a new generation of sh; the caller holds sh.mu.
 func (sh *shard) publish(m map[Name]Binding) {
-	sh.snap.Store(&shardTable{m: m, epoch: sh.snap.Load().epoch + 1})
+	sh.snap.Store(&shardTable{m: m, epoch: sh.nextEpoch()})
 }
 
 // clone copies sh's current table for a mutation; the caller holds
@@ -174,10 +183,9 @@ func (s *Service) Bind(n Name, loc Location) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	t := sh.clone()
-	prev := t[n]
 	t[n] = Binding{
 		Locations: []Location{loc},
-		Epoch:     prev.Epoch + 1,
+		Epoch:     sh.nextEpoch(),
 		Lease:     s.lease,
 	}
 	sh.publish(t)
@@ -212,7 +220,7 @@ func (s *Service) BindReplica(n Name, loc Location) error {
 	}
 	t[n] = Binding{
 		Locations: locs,
-		Epoch:     prev.Epoch + 1,
+		Epoch:     sh.nextEpoch(),
 		Lease:     s.lease,
 	}
 	sh.publish(t)

@@ -247,3 +247,43 @@ func TestServiceConcurrentStress(t *testing.T) {
 		t.Fatalf("final Resolve = %+v, %v", b, err)
 	}
 }
+
+// TestEpochMonotonicAcrossUnbind pins, on one goroutine, the ordering
+// promise the stress test checks under contention: every mutation of a
+// name yields a strictly greater epoch than any earlier binding of that
+// name, including after the name was unbound and bound again.
+func TestEpochMonotonicAcrossUnbind(t *testing.T) {
+	s := NewService()
+	n := Agent("acme.org", "rebind/a1")
+	var last uint64
+	check := func(step string) {
+		t.Helper()
+		b, err := s.Resolve(n)
+		if err != nil {
+			t.Fatalf("%s: Resolve: %v", step, err)
+		}
+		if b.Epoch <= last {
+			t.Fatalf("%s: epoch %d not greater than previous %d", step, b.Epoch, last)
+		}
+		last = b.Epoch
+	}
+
+	if err := s.Bind(n, Location{Address: "a:1"}); err != nil {
+		t.Fatal(err)
+	}
+	check("Bind")
+	if err := s.Bind(n, Location{Address: "b:1"}); err != nil {
+		t.Fatal(err)
+	}
+	check("Bind again")
+	s.Unbind(n)
+	if err := s.Bind(n, Location{Address: "c:1"}); err != nil {
+		t.Fatal(err)
+	}
+	check("Bind after Unbind")
+	s.Unbind(n)
+	if err := s.BindReplica(n, Location{Address: "d:1"}); err != nil {
+		t.Fatal(err)
+	}
+	check("BindReplica after Unbind")
+}

@@ -10,9 +10,13 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/agent"
+	"repro/internal/domain"
 	"repro/internal/names"
 	"repro/internal/policy"
+	"repro/internal/registry"
+	"repro/internal/resource"
 	"repro/internal/retry"
+	"repro/internal/vm"
 )
 
 // TestTierRateShedAtGate drives the arrival gate directly through
@@ -83,14 +87,20 @@ func TestTierFuelCap(t *testing.T) {
 	}
 }
 
-// TestChaosOverloadShedding is the overload-safety invariant check
-// (ISSUE 6 tentpole): a worker whose tier admits at most 2 concurrent
-// visits from this owner faces 16 concurrent arrivals over a seeded
-// lossy network. Every shed travels back as a transient, hinted error;
-// the sender's retry and dead-letter machinery must eventually land
-// every single agent — admitted after backoff or parked for
-// redelivery — with zero losses and zero permanent rejections of
-// compliant agents.
+// TestChaosOverloadShedding is the overload-safety invariant check: a
+// worker whose tier admits at most 2 concurrent visits from this owner
+// faces 16 concurrent arrivals over a seeded lossy network. Every shed
+// travels back as a transient, hinted error; the sender's retry and
+// dead-letter machinery must eventually land every single agent —
+// admitted after backoff or parked for redelivery — with zero losses
+// and zero permanent rejections of compliant agents.
+//
+// The overload is built in rather than left to the scheduler: each
+// visit first blocks on a gate resource installed on the worker, so
+// the first two admitted visits hold both slots while the rest of the
+// fleet arrives. The gate opens once the worker has recorded a shed
+// (or after a bounded backstop, in which case the sheds assertion
+// fails rather than the test hanging).
 func TestChaosOverloadShedding(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos test skipped in -short mode")
@@ -130,6 +140,48 @@ func TestChaosOverloadShedding(t *testing.T) {
 	w2.cfg.Policy.DefineTier(policy.Tier{Name: "visitor", Rate: 5000, Burst: 64, MaxConcurrent: 2})
 	w2.cfg.Policy.AssignTier(policy.TierAssignment{Principal: f.owner.Name, Tier: "visitor"})
 
+	// The gate holds every visit until w2 has shed, so admitted visits
+	// keep their slots while later arrivals meet a full tier.
+	gate := make(chan struct{})
+	var openOnce sync.Once
+	openGate := func() { openOnce.Do(func() { close(gate) }) }
+	// Deferred after the Stops, so it runs before them: Stop waits for
+	// hosted visits, which a closed gate would hold forever.
+	defer openGate()
+	w2.cfg.Policy.AddRule(policy.Rule{AnyPrincipal: true, Resource: "gate", Methods: []string{"wait"}})
+	gateDef := &resource.Def{
+		ResourceImpl: resource.NewImpl(names.Resource("umn.edu", "gate"),
+			names.Principal("umn.edu", "admin"), ""),
+		Path: "gate",
+		Methods: map[string]resource.Method{
+			"wait": func([]vm.Value) (vm.Value, error) { <-gate; return vm.I(1), nil },
+		},
+	}
+	if err := w2.InstallResource(registry.Entry{
+		Name: gateDef.Name, Resource: gateDef, AP: gateDef, OwnerDomain: domain.ServerID,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		backstop := time.After(20 * time.Second)
+		for {
+			select {
+			case <-gate:
+				return
+			case <-backstop:
+				openGate()
+				return
+			case <-tick.C:
+				if st := w2.Stats(); st.ShedRateLimit+st.ShedConcurrency > 0 {
+					openGate()
+					return
+				}
+			}
+		}
+	}()
+
 	// Seeded background noise so sheds interleave with genuine network
 	// retries — the two must not confuse each other's classification.
 	f.nw.SeedFaults(seed)
@@ -142,7 +194,11 @@ func TestChaosOverloadShedding(t *testing.T) {
 	fleet := make([]launched, 0, nAgents)
 	for i := 0; i < nAgents; i++ {
 		a := f.agent(t, fmt.Sprintf("storm%02d", i),
-			"module m\nfunc main() { report(1) }",
+			`module m
+func main() {
+  invoke(get_resource("ajanta:resource:umn.edu/gate"), "wait")
+  report(1)
+}`,
 			agent.Itinerary{Stops: []agent.Stop{
 				{Servers: []names.Name{w2.Name()}, Entry: "main"},
 			}}, "home:7000")
