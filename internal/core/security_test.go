@@ -306,3 +306,65 @@ func main() {
 		t.Fatalf("log = %v", back.Log)
 	}
 }
+
+// TestMailboxCannotClaimHostPolicyPath: make_mailbox adds an owner rule
+// (full access) keyed by the policy path the agent picks. A path the
+// host's counter already answers to, or the wildcard "*" that matches
+// every path, must be refused, so the same owner's access to the
+// counter stays denied before and after the attempt.
+func TestMailboxCannotClaimHostPolicyPath(t *testing.T) {
+	for _, path := range []string{"counter", "*", ""} {
+		t.Run("path="+path, func(t *testing.T) {
+			p := mustPlatform(t)
+			srv, err := p.StartServer("s1", "s1:7000", ServerConfig{}) // default-deny policy
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := InstallResource(srv, CounterResource(names.Resource("umn.edu", "counter"), "counter")); err != nil {
+				t.Fatal(err)
+			}
+			home, err := p.StartServer("home", "home:7000", ServerConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mallory, _ := p.NewOwner("mallory")
+			run := func(name, body string) *agent.Agent {
+				t.Helper()
+				a, err := p.BuildAgent(AgentSpec{
+					Owner:     mallory,
+					Name:      name,
+					Source:    "module m\nfunc main() {\n" + body + "\n}",
+					Itinerary: agent.Sequence("main", srv.Name()),
+					Home:      home,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				back, err := p.LaunchAndWait(home, a, waitTime)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return back
+			}
+			probe := func(name string) {
+				t.Helper()
+				back := run(name, `  var c = get_resource("ajanta:resource:umn.edu/counter")
+  report(invoke(c, "get"))`)
+				if len(back.Results) != 0 || !strings.Contains(strings.Join(back.Log, "\n"), "access denied") {
+					t.Fatalf("%s: counter access not denied: results %v, log %v", name, back.Results, back.Log)
+				}
+			}
+
+			probe("before")
+			claim := run("claim", `  make_mailbox("ajanta:resource:umn.edu/mine", "`+path+`")
+  report("claimed")`)
+			probe("after")
+			if len(claim.Results) != 0 || !strings.Contains(strings.Join(claim.Log, "\n"), "policy path unavailable") {
+				t.Fatalf("make_mailbox with path %q not refused: results %v, log %v", path, claim.Results, claim.Log)
+			}
+			if n := srv.Registry().Len(); n != 1 {
+				t.Fatalf("registry holds %d entries after a refused mailbox, want 1", n)
+			}
+		})
+	}
+}

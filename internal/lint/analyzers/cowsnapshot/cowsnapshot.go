@@ -6,8 +6,9 @@
 // or deleting from its maps — is a data race that -race only catches
 // if a reader happens to overlap. The analyzer flags any write whose
 // destination is reached from an atomic.Pointer[T].Load() result in
-// the copy-on-write packages (internal/policy, internal/registry,
-// internal/resource), unless the value was first deep-copied.
+// the copy-on-write packages (internal/names, internal/policy,
+// internal/registry, internal/resource), unless the value was first
+// deep-copied.
 //
 // The taint rules are intra-procedural and deliberately simple:
 // a Load() call is tainted; a variable assigned a tainted expression
@@ -34,6 +35,7 @@ import (
 
 // scopes are the copy-on-write packages the discipline governs.
 var scopes = []string{
+	"repro/internal/names",
 	"repro/internal/policy",
 	"repro/internal/registry",
 	"repro/internal/resource",

@@ -47,14 +47,11 @@ type ResolverStats struct {
 // cacheEntry is one cached binding. hint marks entries learned from a
 // forwarding hint rather than the authority; they carry the previous
 // entry's lease (or the default) and are replaced by the first
-// authoritative answer. stripe is the entry's name-shard, precomputed
-// at store time so the hit counters can stripe without hashing on the
-// fast path.
+// authoritative answer.
 type cacheEntry struct {
 	b       Binding
 	expires int64
 	hint    bool
-	stripe  uint8
 }
 
 // hotCounter is a cache-line-padded striped counter for the lock-free
@@ -68,7 +65,7 @@ type hotCounter [NumShards]struct {
 	_ [56]byte // pad to a cache line
 }
 
-func (c *hotCounter) add(stripe uint8) { c[stripe].v.Add(1) }
+func (c *hotCounter) add(stripe uint32) { c[stripe].v.Add(1) }
 
 func (c *hotCounter) total() uint64 {
 	var t uint64
@@ -78,26 +75,26 @@ func (c *hotCounter) total() uint64 {
 	return t
 }
 
-// resolverTable is one immutable published generation of the cache.
-type resolverTable struct {
-	m map[Name]cacheEntry
-}
-
 // Resolver is a per-server lease-caching resolver over an authoritative
-// Directory. Lease-valid entries are served lock-free from a COW
-// snapshot (one atomic load + map read, zero allocations); expired
-// entries are served stale once while a deduplicated asynchronous
-// refresh revalidates them; misses fall through to the authority
-// synchronously. Dispatch failure invalidates, so a stale cache always
-// converges: the worst case is one failed send against the old
-// location followed by an authoritative re-resolve.
+// Directory. The cache is sharded like the authority (cowShards):
+// lease-valid entries are served lock-free (one atomic load + map read,
+// zero allocations), and a write copies and republishes only the shard
+// that owns the name. Expired entries are served stale once while a
+// deduplicated asynchronous refresh revalidates them; misses fall
+// through to the authority synchronously. Dispatch failure
+// invalidates, so a stale cache always converges: the worst case is
+// one failed send against the old location followed by an
+// authoritative re-resolve. Every write also sweeps its shard of
+// entries whose lease ended at least one lease ago, so the cache stays
+// bounded by the names written within about two leases rather than by
+// every name the server has ever sent.
 type Resolver struct {
 	auth Directory
 	cfg  ResolverConfig
 
-	snap atomic.Pointer[resolverTable]
+	tab cowShards[cacheEntry]
 
-	mu         sync.Mutex // serializes cache writers and refresh dedupe
+	mu         sync.Mutex // refresh dedupe only
 	refreshing map[Name]bool
 
 	hits          hotCounter
@@ -118,7 +115,7 @@ func NewResolver(auth Directory, cfg ResolverConfig) *Resolver {
 		cfg:        cfg,
 		refreshing: make(map[Name]bool),
 	}
-	r.snap.Store(&resolverTable{m: make(map[Name]cacheEntry)})
+	r.tab.init()
 	return r
 }
 
@@ -126,12 +123,13 @@ func NewResolver(auth Directory, cfg ResolverConfig) *Resolver {
 // hits take the lock-free fast path; expired entries are served stale
 // while a background refresh runs; misses consult the authority.
 func (r *Resolver) Resolve(n Name) (Location, error) {
-	if e, ok := r.snap.Load().m[n]; ok {
+	i := shardIndex(n)
+	if e, ok := r.tab[i].snap.Load().m[n]; ok {
 		if r.cfg.Now() < e.expires {
 			if e.hint {
-				r.hintServes.add(e.stripe)
+				r.hintServes.add(i)
 			} else {
-				r.hits.add(e.stripe)
+				r.hits.add(i)
 			}
 			return e.b.Primary(), nil
 		}
@@ -153,12 +151,13 @@ func (r *Resolver) Resolve(n Name) (Location, error) {
 // applies. The returned slice is the caller's to keep.
 func (r *Resolver) ResolveAll(n Name) ([]Location, error) {
 	var b Binding
-	if e, ok := r.snap.Load().m[n]; ok {
+	i := shardIndex(n)
+	if e, ok := r.tab[i].snap.Load().m[n]; ok {
 		if r.cfg.Now() < e.expires {
 			if e.hint {
-				r.hintServes.add(e.stripe)
+				r.hintServes.add(i)
 			} else {
-				r.hits.add(e.stripe)
+				r.hits.add(i)
 			}
 		} else {
 			r.staleServes.Add(1)
@@ -257,21 +256,24 @@ func (r *Resolver) refreshAsync(n Name) {
 // authoritative entry with the same location.
 func (r *Resolver) Observe(n Name, loc Location) {
 	now := r.cfg.Now()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	cur := r.snap.Load()
-	if e, ok := cur.m[n]; ok && !e.hint && now < e.expires && e.b.Primary() == loc {
+	sh := r.tab.shard(n)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	e, ok := sh.snap.Load().m[n]
+	if ok && !e.hint && now < e.expires && e.b.Primary() == loc {
 		return
 	}
 	lease := DefaultLease
-	if e, ok := cur.m[n]; ok && e.b.Lease > 0 {
+	if ok && e.b.Lease > 0 {
 		lease = e.b.Lease
 	}
-	r.storeLocked(cur, n, cacheEntry{
+	m := sh.clone(live(now))
+	m[n] = cacheEntry{
 		b:       Binding{Locations: []Location{loc}, Lease: lease},
 		expires: now + int64(lease),
 		hint:    true,
-	})
+	}
+	sh.publish(m)
 }
 
 // Invalidate drops the cache entry for n (e.g. after a failed send to
@@ -283,9 +285,12 @@ func (r *Resolver) Invalidate(n Name) {
 
 // Flush drops the whole cache.
 func (r *Resolver) Flush() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.snap.Store(&resolverTable{m: make(map[Name]cacheEntry)})
+	for i := range r.tab {
+		sh := &r.tab[i]
+		sh.mu.Lock()
+		sh.publish(make(map[Name]cacheEntry))
+		sh.mu.Unlock()
+	}
 }
 
 // Stats returns a snapshot of the resolver counters.
@@ -301,42 +306,38 @@ func (r *Resolver) Stats() ResolverStats {
 }
 
 // Len reports the number of cached entries.
-func (r *Resolver) Len() int { return len(r.snap.Load().m) }
+func (r *Resolver) Len() int { return r.tab.len() }
 
-// storeEntry publishes a new cache generation containing e under n.
+// live is the sweep every cache write applies to the shard it copies:
+// it keeps an entry until one full lease has passed since the entry
+// expired. An expired entry therefore stays servable stale (with a
+// refresh) for one more lease, and an entry nobody asks about again
+// is dropped the next time its shard is written.
+func live(now int64) func(cacheEntry) bool {
+	return func(e cacheEntry) bool { return now-e.expires < int64(e.b.Lease) }
+}
+
+// storeEntry publishes a new generation of n's shard with n → e.
 func (r *Resolver) storeEntry(n Name, e cacheEntry) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.storeLocked(r.snap.Load(), n, e)
-}
-
-// storeLocked clones cur, sets n → e and publishes; caller holds r.mu
-// and must have loaded cur under it. The entry's counter stripe is
-// derived here, once per store, off the fast path.
-func (r *Resolver) storeLocked(cur *resolverTable, n Name, e cacheEntry) {
-	e.stripe = uint8(shardIndex(n))
-	m := make(map[Name]cacheEntry, len(cur.m)+1)
-	for k, v := range cur.m {
-		m[k] = v
-	}
+	now := r.cfg.Now()
+	sh := r.tab.shard(n)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	m := sh.clone(live(now))
 	m[n] = e
-	r.snap.Store(&resolverTable{m: m})
+	sh.publish(m)
 }
 
-// removeEntry publishes a new cache generation without n.
+// removeEntry publishes a new generation of n's shard without n.
 func (r *Resolver) removeEntry(n Name) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	cur := r.snap.Load()
-	if _, ok := cur.m[n]; !ok {
+	now := r.cfg.Now()
+	sh := r.tab.shard(n)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if _, ok := sh.snap.Load().m[n]; !ok {
 		return
 	}
-	m := make(map[Name]cacheEntry, len(cur.m))
-	for k, v := range cur.m {
-		if k == n {
-			continue
-		}
-		m[k] = v
-	}
-	r.snap.Store(&resolverTable{m: m})
+	m := sh.clone(live(now))
+	delete(m, n)
+	sh.publish(m)
 }

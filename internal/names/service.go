@@ -3,8 +3,6 @@ package names
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -73,26 +71,6 @@ type Directory interface {
 	Resolve(n Name) (Binding, error)
 }
 
-// NumShards is the shard count of the authoritative store. Like the
-// domain DB, 32 spreads writer contention well past the server counts
-// we simulate while keeping the footprint trivial.
-const NumShards = 32
-
-// shardTable is one immutable published generation of a shard. The
-// shard epoch travels inside the snapshot (same discipline as
-// internal/registry): a reader that pins one table always observes
-// entries and epoch from a single generation.
-type shardTable struct {
-	m     map[Name]Binding
-	epoch uint64
-}
-
-// shard is one lock-free-readable partition of the table.
-type shard struct {
-	mu   sync.Mutex // serializes writers only
-	snap atomic.Pointer[shardTable]
-}
-
 // Service is an authoritative name store: a sharded registry mapping
 // global names to leased bindings. Resolution is lock-free (one atomic
 // pointer load plus a map read); mutations copy the owning shard under
@@ -102,7 +80,7 @@ type shard struct {
 // for every name it is handed.
 type Service struct {
 	lease  time.Duration
-	shards [NumShards]shard
+	shards cowShards[Binding]
 }
 
 // NewService returns an empty authoritative store granting DefaultLease
@@ -116,60 +94,12 @@ func NewServiceWithLease(ttl time.Duration) *Service {
 		ttl = DefaultLease
 	}
 	s := &Service{lease: ttl}
-	for i := range s.shards {
-		s.shards[i].snap.Store(&shardTable{m: make(map[Name]Binding)})
-	}
+	s.shards.init()
 	return s
 }
 
 // Lease reports the TTL this authority grants on bindings.
 func (s *Service) Lease() time.Duration { return s.lease }
-
-// shardIndex hashes a name (FNV-1a over its components, with
-// separators so ("ab","c") and ("a","bc") differ) to its owning shard.
-func shardIndex(n Name) uint32 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	hashComponent := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= prime64
-		}
-		h ^= 0xff // separator
-		h *= prime64
-	}
-	hashComponent(string(n.Kind))
-	hashComponent(n.Authority)
-	hashComponent(n.Path)
-	return uint32(h % NumShards)
-}
-
-func (s *Service) shard(n Name) *shard { return &s.shards[shardIndex(n)] }
-
-// nextEpoch is the generation the next publish of sh installs; the
-// caller holds sh.mu. Stamping a binding with it keeps per-name epochs
-// strictly increasing even across Unbind, which deletes the entry and
-// so leaves no per-name counter to continue from.
-func (sh *shard) nextEpoch() uint64 { return sh.snap.Load().epoch + 1 }
-
-// publish installs a new generation of sh; the caller holds sh.mu.
-func (sh *shard) publish(m map[Name]Binding) {
-	sh.snap.Store(&shardTable{m: m, epoch: sh.nextEpoch()})
-}
-
-// clone copies sh's current table for a mutation; the caller holds
-// sh.mu.
-func (sh *shard) clone() map[Name]Binding {
-	cur := sh.snap.Load().m
-	m := make(map[Name]Binding, len(cur)+1)
-	for n, b := range cur {
-		m[n] = b
-	}
-	return m
-}
 
 // Bind registers or replaces the binding of a name: the new location
 // becomes the sole (primary) location and the name's epoch advances, so
@@ -179,10 +109,10 @@ func (s *Service) Bind(n Name, loc Location) error {
 	if err := n.Valid(); err != nil {
 		return fmt.Errorf("names: bind: %w", err)
 	}
-	sh := s.shard(n)
+	sh := s.shards.shard(n)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	t := sh.clone()
+	t := sh.clone(nil)
 	t[n] = Binding{
 		Locations: []Location{loc},
 		Epoch:     sh.nextEpoch(),
@@ -200,10 +130,10 @@ func (s *Service) BindReplica(n Name, loc Location) error {
 	if err := n.Valid(); err != nil {
 		return fmt.Errorf("names: bind replica: %w", err)
 	}
-	sh := s.shard(n)
+	sh := s.shards.shard(n)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	t := sh.clone()
+	t := sh.clone(nil)
 	prev := t[n]
 	locs := make([]Location, 0, len(prev.Locations)+1)
 	replaced := false
@@ -229,13 +159,13 @@ func (s *Service) BindReplica(n Name, loc Location) error {
 
 // Unbind removes a binding; unbinding an absent name is a no-op.
 func (s *Service) Unbind(n Name) {
-	sh := s.shard(n)
+	sh := s.shards.shard(n)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if _, ok := sh.snap.Load().m[n]; !ok {
 		return
 	}
-	t := sh.clone()
+	t := sh.clone(nil)
 	delete(t, n)
 	sh.publish(t)
 }
@@ -244,7 +174,7 @@ func (s *Service) Unbind(n Name) {
 // atomic load plus a map read. The returned Binding's Locations slice
 // is shared with the published snapshot and must not be modified.
 func (s *Service) Resolve(n Name) (Binding, error) {
-	b, ok := s.shard(n).snap.Load().m[n]
+	b, ok := s.shards.shard(n).snap.Load().m[n]
 	if !ok {
 		return Binding{}, fmt.Errorf("%w: %s", ErrNotBound, n)
 	}
@@ -277,10 +207,4 @@ func (s *Service) Snapshot() map[Name]Location {
 }
 
 // Len reports the number of bound names.
-func (s *Service) Len() int {
-	total := 0
-	for i := range s.shards {
-		total += len(s.shards[i].snap.Load().m)
-	}
-	return total
-}
+func (s *Service) Len() int { return s.shards.len() }

@@ -28,6 +28,7 @@ var (
 	ErrNotFound  = errors.New("registry: resource not found")
 	ErrDuplicate = errors.New("registry: resource already registered")
 	ErrNotOwner  = errors.New("registry: caller does not own this entry")
+	ErrPathTaken = errors.New("registry: policy path unavailable")
 )
 
 // Entry is one registered resource: the resource object (through its
@@ -123,22 +124,55 @@ func (s Snapshot) Lookup(n names.Name) (Entry, error) {
 func (s Snapshot) Len() int { return len(s.t.m) }
 
 // Register adds an entry (Fig. 6 step 1: "resource registers itself").
-func (r *Registry) Register(e Entry) error {
+func (r *Registry) Register(e Entry) error { return r.register(e, false) }
+
+// RegisterExclusive adds an entry like Register and, in the same step
+// under the writer lock, claims the entry's policy path: it fails with
+// ErrPathTaken when that path is empty, the wildcard "*", or already the
+// path of another entry. Policy rules match resources by path, so an
+// installer that adds rules for its own entry (an agent's mailbox)
+// registers this way; otherwise its rules would also match whatever
+// else answers to that path — the host's own resources, or with "*"
+// all of them.
+func (r *Registry) RegisterExclusive(e Entry) error { return r.register(e, true) }
+
+func (r *Registry) register(e Entry, exclusive bool) error {
 	if err := e.Name.Valid(); err != nil {
 		return fmt.Errorf("registry: %w", err)
 	}
 	if e.Resource == nil || e.AP == nil {
 		return errors.New("registry: entry needs Resource and AccessProtocol")
 	}
+	path := policyPath(e)
+	if exclusive && (path == "" || path == "*") {
+		return fmt.Errorf("%w: %q", ErrPathTaken, path)
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.load().m[e.Name]; dup {
+	cur := r.load().m
+	if _, dup := cur[e.Name]; dup {
 		return fmt.Errorf("%w: %s", ErrDuplicate, e.Name)
+	}
+	if exclusive {
+		for n, o := range cur {
+			if policyPath(o) == path {
+				return fmt.Errorf("%w: %q is held by %s", ErrPathTaken, path, n)
+			}
+		}
 	}
 	t := r.clone()
 	t[e.Name] = e
 	r.publish(t)
 	return nil
+}
+
+// policyPath is the path policy rules match an entry by; an entry whose
+// access protocol is not a resource.Def has none.
+func policyPath(e Entry) string {
+	if d, ok := e.AP.(*resource.Def); ok {
+		return d.Path
+	}
+	return ""
 }
 
 // Lookup finds an entry by name (Fig. 6 step 3). The returned Entry is

@@ -2,6 +2,9 @@ package registry
 
 import (
 	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/domain"
@@ -115,5 +118,47 @@ func TestReplaceOwnershipCheck(t *testing.T) {
 	}
 	if err := r.Replace(agentDom, names.Resource("a", "nope"), d2, d2); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("got %v", err)
+	}
+}
+
+// TestRegisterExclusiveClaimsPolicyPath: an exclusive registration
+// refuses the empty and wildcard paths and any path another entry holds,
+// and of many concurrent claims on one fresh path exactly one wins.
+func TestRegisterExclusiveClaimsPolicyPath(t *testing.T) {
+	r := New()
+	if err := r.Register(entry("counter", domain.ServerID)); err != nil {
+		t.Fatal(err)
+	}
+	claim := func(name, path string) error {
+		d := testDef(name)
+		d.Path = path
+		return r.RegisterExclusive(Entry{Name: d.Name, Resource: d, AP: d, OwnerDomain: 7})
+	}
+	for _, path := range []string{"counter", "*", ""} {
+		if err := claim("mine", path); !errors.Is(err, ErrPathTaken) {
+			t.Fatalf("claim of path %q: err = %v, want ErrPathTaken", path, err)
+		}
+	}
+	if r.Len() != 1 {
+		t.Fatalf("refused claims left entries: Len = %d", r.Len())
+	}
+
+	var wins atomic.Int32
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			switch err := claim(fmt.Sprintf("box%d", i), "box"); {
+			case err == nil:
+				wins.Add(1)
+			case !errors.Is(err, ErrPathTaken):
+				t.Errorf("claim %d: %v", i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if wins.Load() != 1 || r.Len() != 2 {
+		t.Fatalf("concurrent claims of one path: %d won, Len = %d; want 1 and 2", wins.Load(), r.Len())
 	}
 }

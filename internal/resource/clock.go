@@ -1,6 +1,7 @@
 package resource
 
 import (
+	"container/heap"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,44 +67,62 @@ func CoarseTime() time.Time {
 }
 
 // sleeper is one CoarseSleep waiter: the daemon closes done at the
-// first tick at or past the deadline.
+// first tick at or past the deadline. index is the sleeper's position
+// in the sleepers heap, -1 once it has left it.
 type sleeper struct {
 	deadline int64
 	done     chan struct{}
+	index    int
+}
+
+// sleeperHeap is a min-heap of waiters by deadline (container/heap),
+// indexed so a cancelled waiter removes itself in O(log n) and each
+// tick pops only the waiters that are due.
+type sleeperHeap []*sleeper
+
+func (h sleeperHeap) Len() int           { return len(h) }
+func (h sleeperHeap) Less(i, j int) bool { return h[i].deadline < h[j].deadline }
+func (h sleeperHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index = i
+	h[j].index = j
+}
+func (h *sleeperHeap) Push(x any) {
+	w := x.(*sleeper)
+	w.index = len(*h)
+	*h = append(*h, w)
+}
+func (h *sleeperHeap) Pop() any {
+	old := *h
+	w := old[len(old)-1]
+	old[len(old)-1] = nil // not retained by the backing array
+	w.index = -1
+	*h = old[:len(old)-1]
+	return w
 }
 
 var (
 	sleepersMu sync.Mutex
-	sleepers   []*sleeper
+	sleepers   sleeperHeap
 )
 
 // fireSleepers wakes every expired waiter; runs on the clock daemon.
 func fireSleepers(now int64) {
 	sleepersMu.Lock()
-	live := sleepers[:0]
-	for _, w := range sleepers {
-		if now >= w.deadline {
-			close(w.done)
-		} else {
-			live = append(live, w)
-		}
+	for len(sleepers) > 0 && now >= sleepers[0].deadline {
+		close(heap.Pop(&sleepers).(*sleeper).done)
 	}
-	// Drop the tail so fired waiters are not retained by the backing
-	// array.
-	for i := len(live); i < len(sleepers); i++ {
-		sleepers[i] = nil
-	}
-	sleepers = live
 	sleepersMu.Unlock()
 }
 
 // CoarseSleep blocks for approximately d — resolution clockTick, so ±1ms
 // in the steady state — waking on the shared clock ticker instead of
 // allocating a dedicated time.Timer. It returns true immediately if
-// cancel closes first. Intended for waits that are long relative to the
-// tick and tolerant of millisecond skew: retry backoffs, redelivery
-// pauses. Sub-tick durations still wait for the next tick (never a busy
-// spin); zero and negative durations return at once.
+// cancel closes first, taking its waiter off the clock at once. Intended
+// for waits that are long relative to the tick and tolerant of
+// millisecond skew: retry backoffs, redelivery pauses, journey
+// timeouts. Sub-tick durations still wait for the next tick (never a
+// busy spin); zero and negative durations return at once.
 func CoarseSleep(d time.Duration, cancel <-chan struct{}) (canceled bool) {
 	if d <= 0 {
 		select {
@@ -114,16 +133,22 @@ func CoarseSleep(d time.Duration, cancel <-chan struct{}) (canceled bool) {
 		}
 	}
 	startClock()
-	w := &sleeper{deadline: coarseNow.Load() + int64(d), done: make(chan struct{})}
+	// The deadline comes from the precise clock: the coarse reading lags
+	// by however long the daemon was starved, and a deadline taken from
+	// it would wake the sleeper that much early.
+	w := &sleeper{deadline: time.Now().UnixNano() + int64(d), done: make(chan struct{})}
 	sleepersMu.Lock()
-	sleepers = append(sleepers, w)
+	heap.Push(&sleepers, w)
 	sleepersMu.Unlock()
 	select {
 	case <-w.done:
 		return false
 	case <-cancel:
-		// The daemon will fire and forget the stale entry at its
-		// deadline; nothing to unregister eagerly.
+		sleepersMu.Lock()
+		if w.index >= 0 { // not fired meanwhile
+			heap.Remove(&sleepers, w.index)
+		}
+		sleepersMu.Unlock()
 		return true
 	}
 }

@@ -83,3 +83,47 @@ func TestCoarseTimeTracksWallClock(t *testing.T) {
 }
 
 func clockSlackDur() time.Duration { return time.Duration(clockSlack) }
+
+func sleeperCount() int {
+	sleepersMu.Lock()
+	defer sleepersMu.Unlock()
+	return len(sleepers)
+}
+
+// A cancelled sleeper leaves the clock at once instead of staying listed
+// until its deadline: after many cancelled 30 s sleeps (journey
+// timeouts the agent beat), the clock holds no sleepers, and short
+// sleepers interleaved with them in the heap still wake.
+func TestCoarseSleepCancelLeavesClock(t *testing.T) {
+	closed := make(chan struct{})
+	close(closed)
+	for i := 0; i < 1000; i++ {
+		if !CoarseSleep(30*time.Second, closed) {
+			t.Fatal("CoarseSleep with a closed cancel channel did not report canceled")
+		}
+	}
+	if n := sleeperCount(); n != 0 {
+		t.Fatalf("%d sleepers listed after 1000 cancelled sleeps, want 0", n)
+	}
+
+	var wg sync.WaitGroup
+	cancel := make(chan struct{})
+	for i := 0; i < 32; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if i%2 == 0 {
+				CoarseSleep(30*time.Second, cancel)
+				return
+			}
+			if CoarseSleep(time.Duration(2+i%7)*time.Millisecond, nil) {
+				t.Error("short sleeper reported canceled")
+			}
+		}(i)
+	}
+	close(cancel)
+	wg.Wait()
+	if n := sleeperCount(); n != 0 {
+		t.Fatalf("%d sleepers listed after every sleeper returned, want 0", n)
+	}
+}

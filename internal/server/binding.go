@@ -80,20 +80,27 @@ func (s *Server) invokeProxy(v *visit, br *boundResource, method string, args []
 // step 1, performed by an agent: §5.5's dynamic extension of server
 // capabilities). Registration is a mediated operation; the entry is
 // owned by the installing agent's domain and survives its departure.
-// Any accompanying policy rules are added only after the install
-// succeeded, so a rejected registration leaves no dangling grants.
+// The entry must claim a policy path no other entry holds (not empty,
+// not "*"), checked and registered in one registry step: rules are keyed
+// by path, so an agent's rules for its own resource must not match the
+// host's resources. Any accompanying policy rules are added only after
+// the install succeeded, so a rejected registration leaves no dangling
+// grants.
 func (s *Server) installAgentResource(v *visit, rn names.Name, def *resource.Def, rules ...policy.Rule) error {
 	if err := s.secmgr.Check(v.dom, sandbox.OpRegistryRegister,
 		sandbox.Target{Domain: v.dom, Name: rn.String()}); err != nil {
 		return err
 	}
-	if err := s.InstallResource(registry.Entry{
+	if err := s.reg.RegisterExclusive(registry.Entry{
 		Name:           rn,
 		Resource:       def,
 		AP:             def,
 		OwnerDomain:    v.dom,
 		OwnerPrincipal: v.agent.Credentials.Owner,
 	}); err != nil {
+		return err
+	}
+	if err := s.publishResource(rn); err != nil {
 		return err
 	}
 	for _, r := range rules {

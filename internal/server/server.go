@@ -381,7 +381,12 @@ func (s *Server) InstallResource(e registry.Entry) error {
 	if err := s.reg.Register(e); err != nil {
 		return err
 	}
-	return s.cfg.NameService.BindReplica(e.Name, names.Location{
+	return s.publishResource(e.Name)
+}
+
+// publishResource binds a registered resource's name to this server.
+func (s *Server) publishResource(rn names.Name) error {
+	return s.cfg.NameService.BindReplica(rn, names.Location{
 		Address: s.cfg.Address, ServerName: s.Name(),
 	})
 }

@@ -48,6 +48,20 @@ func servePool(t *testing.T, w *world, addr string, accept func(*agent.Agent, na
 	}
 }
 
+// waitHosted waits until the receiver has handed off want agents. The
+// receiver hands an agent off after acking it, so a sender's Send can
+// return before the count moves.
+func waitHosted(t *testing.T, hosted *atomic.Int64, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(time.Second)
+	for hosted.Load() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("hosted %d agents, want %d", hosted.Load(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func newTestPool(w *world, cfg PoolConfig) *Pool {
 	if cfg.Dial == nil {
 		cfg.Dial = w.net.Dial
@@ -74,9 +88,7 @@ func TestPoolReusesSession(t *testing.T) {
 	if st.Reuses != 9 {
 		t.Fatalf("Reuses = %d, want 9", st.Reuses)
 	}
-	if got := hosted.Load(); got != 10 {
-		t.Fatalf("hosted %d agents, want 10", got)
-	}
+	waitHosted(t, hosted, 10)
 }
 
 func TestPoolIdleEviction(t *testing.T) {
@@ -188,13 +200,7 @@ func TestPoolStaleSessionRedial(t *testing.T) {
 	if st.Dials != 2 {
 		t.Fatalf("Dials = %d, want 2", st.Dials)
 	}
-	deadline := time.Now().Add(time.Second)
-	for hosted.Load() != 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("hosted %d agents, want 2 (exactly one delivery per send)", hosted.Load())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitHosted(t, hosted, 2) // exactly one delivery per send
 }
 
 func TestPoolConcurrentCheckout(t *testing.T) {
@@ -229,9 +235,7 @@ func TestPoolConcurrentCheckout(t *testing.T) {
 	if st.Dials > 4 {
 		t.Fatalf("Dials = %d, want <= MaxPerPeer (4)", st.Dials)
 	}
-	if got := hosted.Load(); got != senders*each {
-		t.Fatalf("hosted %d, want %d", got, senders*each)
-	}
+	waitHosted(t, hosted, senders*each)
 }
 
 func TestPoolClose(t *testing.T) {
@@ -396,9 +400,7 @@ func TestPoolDisabled(t *testing.T) {
 	if st := p.Stats(); st.Dials != 0 || st.Reuses != 0 || st.Idle != 0 {
 		t.Fatalf("disabled pool kept state: %+v", st)
 	}
-	if got := hosted.Load(); got != 3 {
-		t.Fatalf("hosted %d, want 3", got)
-	}
+	waitHosted(t, hosted, 3)
 }
 
 // TestPoolToSingleShotReceiver covers new->old interop: the pooled
@@ -464,11 +466,5 @@ func TestSingleShotSenderToServeConn(t *testing.T) {
 		}
 		conn.Close()
 	}
-	deadline := time.Now().Add(time.Second)
-	for hosted.Load() != 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("hosted %d, want 2", hosted.Load())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitHosted(t, hosted, 2)
 }
