@@ -1,6 +1,7 @@
 // Benchmarks regenerating the paper's quantitative claims (experiments
-// C1–C7 and figure F6 in DESIGN.md / EXPERIMENTS.md), plus the ablation
-// benches DESIGN.md calls out. Run with:
+// C1–C15 and figure F6 in DESIGN.md / EXPERIMENTS.md, with C14 in
+// bench_vm_test.go), plus the ablation benches DESIGN.md calls out.
+// They are the only definition of each experiment. Run with:
 //
 //	go test -bench=. -benchmem .
 package ajanta_test
@@ -11,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -230,7 +232,7 @@ func BenchmarkC3_RPCvsREVvsAgent(b *testing.B) {
 	for _, sel := range []struct {
 		name      string
 		threshold int64
-	}{{"sel=10pct", 89}, {"sel=50pct", 49}, {"sel=100pct", -1}} {
+	}{{"sel=1pct", 98}, {"sel=10pct", 89}, {"sel=50pct", 49}, {"sel=100pct", -1}} {
 		b.Run("rpc/"+sel.name, func(b *testing.B) {
 			nw, addrs := start(b)
 			b.ResetTimer()
@@ -1012,7 +1014,8 @@ func main() {
 // untiered fast path (one snapshot load, no bucket), the tiered
 // under-limit path (bucket op that conforms), and an over-limit storm
 // where most arrivals shed. The shed/op metric is the observed shed
-// rate; ns/op is the admit decision latency under contention.
+// rate; p50-ns and p99-ns are the percentiles of individually timed
+// decisions, whose two clock reads are included in ns/op.
 func BenchmarkC13_AdmissionStorm(b *testing.B) {
 	owner := names.Principal("bench.org", "storm")
 	mkGate := func(tiers ...policy.Tier) *admission.Gate {
@@ -1025,57 +1028,62 @@ func BenchmarkC13_AdmissionStorm(b *testing.B) {
 		return admission.NewGate(eng, nil)
 	}
 	// storm fans b.N admits over 16 goroutines spread across nKeys
-	// principal buckets and returns the shed count.
-	storm := func(b *testing.B, g *admission.Gate, nKeys int) uint64 {
-		const workers = 16
-		var shed atomic.Uint64
-		var wg sync.WaitGroup
-		per := b.N / workers
-		for w := 0; w < workers; w++ {
-			n := per
-			if w == 0 {
-				n += b.N % workers
-			}
-			var key cred.Digest
-			key[0] = byte(w % nKeys)
-			wg.Add(1)
-			go func(key cred.Digest, n int) {
-				defer wg.Done()
-				for i := 0; i < n; i++ {
-					tk, err := g.Admit(owner, key)
-					if err != nil {
-						shed.Add(1)
-						continue
-					}
-					tk.Release()
-				}
-			}(key, n)
+	// principal buckets and reports the shed rate and decision-latency
+	// percentiles. Each worker keeps the timings of its last 64Ki
+	// decisions, which bounds memory at any b.N.
+	storm := func(b *testing.B, g *admission.Gate, nKeys int) {
+		const (
+			workers = 16
+			window  = 1 << 16
+		)
+		// One record per worker, padded so the workers' counters do not
+		// share a cache line.
+		type worker struct {
+			key cred.Digest
+			lat []time.Duration
+			n   int
+			_   [64]byte
 		}
-		wg.Wait()
-		return shed.Load()
+		ws := make([]worker, workers)
+		for w := range ws {
+			ws[w].key[0] = byte(w % nKeys)
+			ws[w].lat = make([]time.Duration, window)
+		}
+		var shed atomic.Uint64
+		runContended(b, workers, func(w int) error {
+			rec := &ws[w]
+			t0 := time.Now()
+			tk, err := g.Admit(owner, rec.key)
+			rec.lat[rec.n%window] = time.Since(t0)
+			rec.n++
+			if err != nil {
+				shed.Add(1)
+				return nil
+			}
+			tk.Release()
+			return nil
+		})
+		b.StopTimer()
+		var all []time.Duration
+		for _, rec := range ws {
+			all = append(all, rec.lat[:min(rec.n, window)]...)
+		}
+		slices.Sort(all)
+		pct := func(p float64) float64 { return float64(all[int(p*float64(len(all)-1))]) }
+		b.ReportMetric(float64(shed.Load())/float64(b.N), "shed/op")
+		b.ReportMetric(pct(0.50), "p50-ns")
+		b.ReportMetric(pct(0.99), "p99-ns")
 	}
 	b.Run("untiered-fast-path", func(b *testing.B) {
-		g := mkGate()
-		b.ReportAllocs()
-		b.ResetTimer()
-		sheds := storm(b, g, 16)
-		b.ReportMetric(float64(sheds)/float64(b.N), "shed/op")
+		storm(b, mkGate(), 16)
 	})
 	b.Run("tiered-under-limit", func(b *testing.B) {
-		g := mkGate(policy.Tier{Name: "fast", Rate: 1e12, Burst: 1e9, MaxConcurrent: 64})
-		b.ReportAllocs()
-		b.ResetTimer()
-		sheds := storm(b, g, 16)
-		b.ReportMetric(float64(sheds)/float64(b.N), "shed/op")
+		storm(b, mkGate(policy.Tier{Name: "fast", Rate: 1e12, Burst: 1e9, MaxConcurrent: 64}), 16)
 	})
 	b.Run("storm-mostly-shed", func(b *testing.B) {
 		// One shared bucket, 1k/s: past the initial burst nearly every
 		// arrival sheds — the decision must stay O(one bucket op).
-		g := mkGate(policy.Tier{Name: "slow", Rate: 1000, Burst: 16})
-		b.ReportAllocs()
-		b.ResetTimer()
-		sheds := storm(b, g, 1)
-		b.ReportMetric(float64(sheds)/float64(b.N), "shed/op")
+		storm(b, mkGate(policy.Tier{Name: "slow", Rate: 1000, Burst: 16}), 1)
 	})
 }
 

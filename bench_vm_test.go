@@ -86,8 +86,8 @@ type c14Mix struct {
 	Arg   int64
 }
 
-// c14Mixes is shared with cmd/experiments via this package's tests only;
-// the experiments binary carries its own copy of the source above.
+// c14Mixes are the C14 workload mixes, one entry function of the
+// module above each.
 var c14Mixes = []c14Mix{
 	// fib(15) is the call-heavy mix: ~2k intra-module OpCall frames per
 	// agent-op — the path that must reach 0 allocs/op.

@@ -4,7 +4,7 @@
 // repolint). Since the type-aware rebuild the suite runs on
 // internal/lint/analysis, a stdlib-only re-statement of the
 // golang.org/x/tools/go/analysis contract, with full go/types
-// information loaded offline by internal/lint/load. Seven analyzers
+// information loaded offline by internal/lint/load. Six analyzers
 // mechanize the invariants that used to live only in docs and review:
 //
 //	resourceimpl  concrete resource.ResourceImpl stays behind NewImpl
@@ -13,7 +13,6 @@
 //	coarseclock   no raw time.Timer/Ticker in internal/ hot paths (§8.2)
 //	errclass      send-path errors are transient/permanent-classified (§7)
 //	fusedwire     vm.Prepare (fused execution copies) stays in vm/loader
-//	nameresolve   names.Service.Lookup stays in internal/names (§9.2)
 //
 // A finding is silenced only by an inline annotation on the flagged
 // line (or the line above):
@@ -37,7 +36,6 @@ import (
 	"repro/internal/lint/analyzers/errclass"
 	"repro/internal/lint/analyzers/fusedwire"
 	"repro/internal/lint/analyzers/lockorder"
-	"repro/internal/lint/analyzers/nameresolve"
 	"repro/internal/lint/analyzers/resourceimpl"
 	"repro/internal/lint/load"
 )
@@ -50,7 +48,6 @@ var Analyzers = []*analysis.Analyzer{
 	coarseclock.Analyzer,
 	errclass.Analyzer,
 	fusedwire.Analyzer,
-	nameresolve.Analyzer,
 }
 
 // Finding is one reported rule violation.

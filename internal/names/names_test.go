@@ -1,6 +1,7 @@
 package names
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -118,19 +119,19 @@ func TestServiceBindLookup(t *testing.T) {
 	if err := s.Bind(n, Location{Address: "10.0.0.1:7000", ServerName: srv}); err != nil {
 		t.Fatal(err)
 	}
-	loc, err := s.Lookup(n)
+	b, err := s.Resolve(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loc.Address != "10.0.0.1:7000" || loc.ServerName != srv {
-		t.Fatalf("Lookup = %+v", loc)
+	if loc := b.Primary(); loc != (Location{Address: "10.0.0.1:7000", ServerName: srv}) {
+		t.Fatalf("Resolve primary = %+v", loc)
 	}
 }
 
 func TestServiceLookupMissing(t *testing.T) {
 	s := NewService()
-	if _, err := s.Lookup(Agent("x", "y")); err == nil {
-		t.Fatal("want ErrNotBound")
+	if _, err := s.Resolve(Agent("x", "y")); !errors.Is(err, ErrNotBound) {
+		t.Fatalf("Resolve unbound = %v, want ErrNotBound", err)
 	}
 }
 
@@ -139,9 +140,9 @@ func TestServiceRebindReplaces(t *testing.T) {
 	n := Agent("umn.edu", "a1")
 	_ = s.Bind(n, Location{Address: "first"})
 	_ = s.Bind(n, Location{Address: "second"})
-	loc, err := s.Lookup(n)
-	if err != nil || loc.Address != "second" {
-		t.Fatalf("got %+v, %v", loc, err)
+	b, err := s.Resolve(n)
+	if err != nil || b.Primary().Address != "second" {
+		t.Fatalf("got %+v, %v", b, err)
 	}
 }
 
@@ -150,7 +151,7 @@ func TestServiceUnbind(t *testing.T) {
 	n := Agent("umn.edu", "a1")
 	_ = s.Bind(n, Location{Address: "addr"})
 	s.Unbind(n)
-	if _, err := s.Lookup(n); err == nil {
+	if _, err := s.Resolve(n); err == nil {
 		t.Fatal("want error after Unbind")
 	}
 	s.Unbind(n) // no-op, must not panic
@@ -172,8 +173,8 @@ func TestServiceSnapshotIsCopy(t *testing.T) {
 		t.Fatalf("snapshot = %+v", snap)
 	}
 	snap[n] = Location{Address: "mutated"}
-	loc, _ := s.Lookup(n)
-	if loc.Address != "addr" {
+	b, _ := s.Resolve(n)
+	if b.Primary().Address != "addr" {
 		t.Fatal("snapshot mutation leaked into service")
 	}
 	if s.Len() != 1 {
@@ -190,7 +191,7 @@ func TestServiceConcurrentAccess(t *testing.T) {
 			for j := 0; j < 200; j++ {
 				n := Agent("umn.edu", "a"+string(rune('a'+i)))
 				_ = s.Bind(n, Location{Address: "x"})
-				_, _ = s.Lookup(n)
+				_, _ = s.Resolve(n)
 				s.Unbind(n)
 			}
 		}(i)

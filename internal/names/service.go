@@ -19,7 +19,7 @@ type Location struct {
 	ServerName Name
 }
 
-// ErrNotBound is returned by Resolve and Lookup for unregistered names.
+// ErrNotBound is returned by Resolve for unregistered names.
 var ErrNotBound = errors.New("names: name not bound")
 
 // DefaultLease is the binding TTL an authority grants when none was
@@ -59,11 +59,9 @@ func (b Binding) Primary() Location {
 }
 
 // Directory is the mutation-and-resolution surface shared by the
-// single-authority Service and the multi-authority Federation. It
-// deliberately omits the legacy Lookup method: callers outside
-// internal/names resolve through a Resolver (enforced by the
-// nameresolve analyzer), and Resolve exposes the full lease-carrying
-// Binding a cache needs.
+// single-authority Service and the multi-authority Federation. Resolve
+// returns the full lease-carrying Binding a cache needs; servers
+// resolve through a Resolver built on it.
 type Directory interface {
 	Bind(n Name, loc Location) error
 	BindReplica(n Name, loc Location) error
@@ -173,24 +171,14 @@ func (s *Service) Unbind(n Name) {
 // Resolve returns the authoritative binding for a name. Lock-free: one
 // atomic load plus a map read. The returned Binding's Locations slice
 // is shared with the published snapshot and must not be modified.
+// Servers call it through their Resolver, which caches the Binding
+// under its lease; Primary gives the single current location.
 func (s *Service) Resolve(n Name) (Binding, error) {
 	b, ok := s.shards.shard(n).snap.Load().m[n]
 	if !ok {
 		return Binding{}, fmt.Errorf("%w: %s", ErrNotBound, n)
 	}
 	return b, nil
-}
-
-// Lookup resolves a name to its current primary location. It is the
-// legacy single-location surface, confined to this package by the
-// nameresolve analyzer: servers resolve through a Resolver, which
-// caches the richer Binding that Resolve returns.
-func (s *Service) Lookup(n Name) (Location, error) {
-	b, err := s.Resolve(n)
-	if err != nil {
-		return Location{}, err
-	}
-	return b.Primary(), nil
 }
 
 // Snapshot returns a copy of all current primary bindings, for status

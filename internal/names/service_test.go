@@ -116,19 +116,21 @@ func TestBindReplica(t *testing.T) {
 	}
 }
 
+// TestLookupCompat checks the single-address lookup that callers of the
+// removed Lookup method now spell Resolve(n).Primary().
 func TestLookupCompat(t *testing.T) {
 	s := NewService()
 	n := Agent("acme.org", "a")
-	if _, err := s.Lookup(n); !errors.Is(err, ErrNotBound) {
-		t.Fatalf("Lookup unbound = %v, want ErrNotBound", err)
+	if _, err := s.Resolve(n); !errors.Is(err, ErrNotBound) {
+		t.Fatalf("Resolve unbound = %v, want ErrNotBound", err)
 	}
 	loc := Location{Address: "h:1"}
 	if err := s.Bind(n, loc); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Lookup(n)
-	if err != nil || got != loc {
-		t.Fatalf("Lookup = %+v, %v; want %+v", got, err, loc)
+	b, err := s.Resolve(n)
+	if err != nil || b.Primary() != loc {
+		t.Fatalf("Resolve primary = %+v, %v; want %+v", b.Primary(), err, loc)
 	}
 }
 

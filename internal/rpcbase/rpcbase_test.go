@@ -185,3 +185,46 @@ func TestAnalyticCrossoverExists(t *testing.T) {
 		t.Fatalf("no crossover: agentWins@0.01=%v rpcWins@1=%v", agentWinsAt0, rpcWinsAt1)
 	}
 }
+
+// TestC3bAnalyticSweepWinners pins the C3b table in EXPERIMENTS.md: the
+// paradigm that moves the fewest bytes and the one that finishes first,
+// for each selectivity and latency of the analytic sweep (5 servers x
+// 1000 records x 256 B, code 4 KiB, header 64 B, 1 MiB/s). A tie goes
+// to the paradigm listed first (rpc, rev, agent), as in the table.
+func TestC3bAnalyticSweepWinners(t *testing.T) {
+	cases := []struct {
+		sel               float64
+		lat               time.Duration
+		bytesWin, timeWin string
+	}{
+		{0.01, time.Millisecond, "rev", "rev"},
+		{0.01, 50 * time.Millisecond, "rev", "agent"},
+		{0.05, time.Millisecond, "rev", "rev"},
+		{0.05, 50 * time.Millisecond, "rev", "agent"},
+		{0.25, time.Millisecond, "rev", "rev"},
+		{0.25, 50 * time.Millisecond, "rev", "rev"},
+		{0.5, time.Millisecond, "rev", "rev"},
+		{0.5, 50 * time.Millisecond, "rev", "rev"},
+		{1.0, time.Millisecond, "rpc", "rpc"},
+		{1.0, 50 * time.Millisecond, "rpc", "rpc"},
+	}
+	for _, c := range cases {
+		w := Workload{Servers: 5, Records: 1000, RecSize: 256,
+			Selectivity: c.sel, CodeSize: 4096, HeaderSize: 64}
+		m := netsim.Model{Latency: c.lat, Bandwidth: 1 << 20}
+		costs := []Cost{RPCCost(w, m), REVCost(w, m), AgentCost(w, m)}
+		byBytes, byTime := costs[0], costs[0]
+		for _, cost := range costs[1:] {
+			if cost.Bytes < byBytes.Bytes {
+				byBytes = cost
+			}
+			if cost.Time < byTime.Time {
+				byTime = cost
+			}
+		}
+		if byBytes.Paradigm != c.bytesWin || byTime.Paradigm != c.timeWin {
+			t.Errorf("sel=%.2f lat=%v: winners bytes=%s time=%s, want %s/%s",
+				c.sel, c.lat, byBytes.Paradigm, byTime.Paradigm, c.bytesWin, c.timeWin)
+		}
+	}
+}
