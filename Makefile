@@ -46,7 +46,11 @@ bench-baseline:
 	go test $(BENCH_FLAGS) -bench '$(GATE_BENCH)' . | tee bench/baseline.txt
 
 # bench-gate compares a fresh run against the committed baseline and
-# fails on a >15% geomean regression — the same check CI runs.
+# fails on a >15% geomean regression — the same check CI runs. The
+# baseline's `cpu:` line names the machine it was measured on; when it
+# differs from this machine's, benchgate prints "machine mismatch" and
+# the verdict compares machines as well as code. For a local
+# comparison, run `make bench-baseline` on the parent commit first.
 bench-gate: bench-gate-run
 	go run ./cmd/benchgate -old bench/baseline.txt -new bench_new.txt
 

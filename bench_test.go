@@ -891,10 +891,26 @@ func BenchmarkAblation_EnableSet(b *testing.B) {
 
 // --- ablation: agent wire encoding -------------------------------------------
 
+// BenchmarkAblation_Encoding compares agent encodings on one transfer
+// agent (8 KiB of state): the hand-written agent codec the transfer path
+// uses (agent.Encode/Decode), a fresh gob encoder or decoder per agent
+// (the previous wire encoding, which re-sends and re-compiles its type
+// descriptors each time), and JSON. Run with -benchmem.
 func BenchmarkAblation_Encoding(b *testing.B) {
 	_, owner, reg := benchCreds(b)
 	a := benchTransferAgent(b, reg, owner, 8<<10)
+	b.Run("codec", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			data, err := a.Encode()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(data)))
+		}
+	})
 	b.Run("gob", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			var buf bytes.Buffer
 			if err := gob.NewEncoder(&buf).Encode(a); err != nil {
@@ -904,12 +920,40 @@ func BenchmarkAblation_Encoding(b *testing.B) {
 		}
 	})
 	b.Run("json", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			data, err := json.Marshal(a)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.SetBytes(int64(len(data)))
+		}
+	})
+	codecWire, err := a.Encode()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var gobWire bytes.Buffer
+	if err := gob.NewEncoder(&gobWire).Encode(a); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("decode/codec", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(codecWire)))
+		for i := 0; i < b.N; i++ {
+			if _, err := agent.Decode(codecWire); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode/gob", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(gobWire.Len()))
+		for i := 0; i < b.N; i++ {
+			var got agent.Agent
+			if err := gob.NewDecoder(bytes.NewReader(gobWire.Bytes())).Decode(&got); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

@@ -12,13 +12,18 @@
 // slowdown — or a large regression in any one hot path — moves the
 // geomean past the threshold. Benchmarks present in only one file are
 // reported and skipped, so adding or removing a benchmark does not
-// require regenerating the baseline in the same commit.
+// require regenerating the baseline in the same commit. When the two
+// files' `cpu:` header lines differ, a "machine mismatch" line precedes
+// the verdict: ratios across processors measure the machines too, and
+// `make bench-baseline` on the comparing machine gives a like-for-like
+// baseline. The verdict itself does not change.
 package main
 
 import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"regexp"
@@ -38,17 +43,28 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+([0-9.]+) ns/op`)
 // parallelism but different suffix formatting still pair up.
 var cpuSuffix = regexp.MustCompile(`-\d+$`)
 
-func parse(path string) (map[string][]float64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	out := make(map[string][]float64)
-	sc := bufio.NewScanner(f)
+// cpuHeader matches the `cpu:` line go test -bench prints before the
+// results; capture 1 is the processor model.
+var cpuHeader = regexp.MustCompile(`^cpu:\s*(.*?)\s*$`)
+
+// bench is one parsed `go test -bench` output: ns/op samples per
+// benchmark and the machine's processor model ("" when absent).
+type bench struct {
+	results map[string][]float64
+	cpu     string
+}
+
+func parse(r io.Reader) (bench, error) {
+	out := bench{results: make(map[string][]float64)}
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(sc.Text())
+		line := sc.Text()
+		if m := cpuHeader.FindStringSubmatch(line); m != nil && out.cpu == "" {
+			out.cpu = m[1]
+			continue
+		}
+		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
@@ -57,9 +73,25 @@ func parse(path string) (map[string][]float64, error) {
 		if err != nil || v <= 0 {
 			continue
 		}
-		out[name] = append(out[name], v)
+		out.results[name] = append(out.results[name], v)
 	}
 	return out, sc.Err()
+}
+
+func cpuOrUnknown(cpu string) string {
+	if cpu == "" {
+		return "(no cpu: line)"
+	}
+	return cpu
+}
+
+func parseFile(path string) (bench, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return bench{}, err
+	}
+	defer f.Close()
+	return parse(f)
 }
 
 // center reduces repeated measurements of one benchmark (from -count=N)
@@ -82,16 +114,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchgate: -old and -new are required")
 		os.Exit(2)
 	}
-	oldRes, err := parse(*oldPath)
+	oldBench, err := parseFile(*oldPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 		os.Exit(2)
 	}
-	newRes, err := parse(*newPath)
+	newBench, err := parseFile(*newPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 		os.Exit(2)
 	}
+	oldRes, newRes := oldBench.results, newBench.results
 
 	var names []string
 	for name := range oldRes {
@@ -126,6 +159,11 @@ func main() {
 	geomean := math.Exp(logSum / float64(len(names)))
 	fmt.Printf("\ngeomean ratio over %d benchmarks: %.3f (threshold %.3f)\n",
 		len(names), geomean, *threshold)
+	// Ratios across different processors measure the machines as much
+	// as the change; say so before the verdict, which stands as is.
+	if oldBench.cpu != newBench.cpu {
+		fmt.Printf("machine mismatch: baseline %s vs new %s\n", cpuOrUnknown(oldBench.cpu), cpuOrUnknown(newBench.cpu))
+	}
 	if geomean > *threshold {
 		fmt.Printf("FAIL: candidate is %.1f%% slower than baseline (limit %.1f%%)\n",
 			(geomean-1)*100, (*threshold-1)*100)

@@ -9,8 +9,6 @@ package agent
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/gob"
 	"errors"
 	"fmt"
 
@@ -128,8 +126,8 @@ type Agent struct {
 
 	// hostState carries server-side per-arrival state (the admission
 	// ticket) from the arrival gate to the hosting loop, which run on
-	// different call paths but share this pointer. Unexported, so gob
-	// never serializes it: host-side state must not travel.
+	// different call paths but share this pointer. The codec never
+	// writes it: host-side state must not travel.
 	hostState any
 }
 
@@ -194,19 +192,20 @@ func New(creds cred.Credentials, mainModule string, code []vm.Module, it Itinera
 }
 
 // BundleDigest computes the SHA-256 digest of a code bundle's canonical
-// gob encoding. The owner signs this digest inside the credentials
-// (cred.Credentials.CodeDigest), so a malicious intermediate host cannot
-// modify the agent's *code* without invalidating the credentials — the
-// implementable half of the paper's agent-protection requirement ("the
-// code and state of an agent must be protected against modification by
-// malicious hosts", §2; state must stay mutable, code need not).
+// bytes: a domain tag followed by the agent codec's encoding of the
+// bundle (PROTOCOLS.md §3). The owner signs this digest inside the
+// credentials (cred.Credentials.CodeDigest), so a malicious intermediate
+// host cannot modify the agent's *code* without invalidating the
+// credentials — the implementable half of the paper's agent-protection
+// requirement ("the code and state of an agent must be protected
+// against modification by malicious hosts", §2; state must stay
+// mutable, code need not). A bundle with fused bytecode has no
+// canonical bytes and fails with ErrFusedCode.
 func BundleDigest(code []vm.Module) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(code); err != nil {
-		return nil, fmt.Errorf("agent: digest: %w", err)
+	if vm.BundleHasFused(code) {
+		return nil, fmt.Errorf("agent: digest: %w", ErrFusedCode)
 	}
-	sum := sha256.Sum256(buf.Bytes())
-	return sum[:], nil
+	return bundleDigest(code), nil
 }
 
 // Logf appends a formatted line to the agent's log, which travels home
@@ -218,25 +217,30 @@ func (a *Agent) Logf(format string, args ...any) {
 // SanitizeForTransfer strips host-bound values from the state: handles
 // reference objects in the departing server's tables and are meaningless
 // (and dangerous to honour) elsewhere. Called by the transfer layer
-// before serialization.
+// before serialization. It stops descending below MaxValueDepth, where
+// Encode refuses the value anyway, so a list the agent made contain
+// itself cannot recurse without end.
 func (a *Agent) SanitizeForTransfer() {
 	for k, v := range a.State {
-		a.State[k] = stripHandles(v)
+		a.State[k] = stripHandles(v, 1)
 	}
 }
 
-func stripHandles(v vm.Value) vm.Value {
+func stripHandles(v vm.Value, depth int) vm.Value {
+	if depth > MaxValueDepth {
+		return v
+	}
 	switch v.Kind {
 	case vm.KindHandle:
 		return vm.Nil()
 	case vm.KindList:
 		for i := range v.List {
-			v.List[i] = stripHandles(v.List[i])
+			v.List[i] = stripHandles(v.List[i], depth+1)
 		}
 		return v
 	case vm.KindMap:
 		for k, e := range v.Map {
-			v.Map[k] = stripHandles(e)
+			v.Map[k] = stripHandles(e, depth+1)
 		}
 		return v
 	default:
@@ -244,33 +248,39 @@ func stripHandles(v vm.Value) vm.Value {
 	}
 }
 
-// Encode serializes the agent with gob (the system's wire encoding).
-// Only canonical bytecode may cross the wire: the fused
-// superinstructions vm.Prepare rewrites into its process-local
-// execution copies are rejected here, so a bug that ever routed a
-// prepared module into an agent's Code fails loudly at the transfer
-// choke point instead of shipping non-canonical code (which would break
-// digest pinning and confuse remote verifiers).
+// Encode serializes the agent with the agent codec (codec.go; the
+// system's wire encoding for agents). Only canonical bytecode may cross
+// the wire: the fused superinstructions vm.Prepare rewrites into its
+// process-local execution copies are rejected here, so a bug that ever
+// routed a prepared module into an agent's Code fails loudly at the
+// transfer choke point instead of shipping non-canonical code (which
+// would break digest pinning and confuse remote verifiers). State or
+// results nested deeper than MaxValueDepth fail with ErrValueTooDeep.
 func (a *Agent) Encode() ([]byte, error) {
 	if vm.BundleHasFused(a.Code) {
 		return nil, fmt.Errorf("agent: encode: %w", ErrFusedCode)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(a); err != nil {
+	bp := getBuf()
+	defer putBuf(bp)
+	out, err := encodeAgent(*bp, a)
+	*bp = out
+	if err != nil {
 		return nil, fmt.Errorf("agent: encode: %w", err)
 	}
-	return buf.Bytes(), nil
+	return bytes.Clone(out), nil
 }
 
-// Decode deserializes an agent, rejecting non-canonical (fused)
-// bytecode a malicious or buggy sender may have produced.
+// Decode deserializes an agent, rejecting malformed or non-canonical
+// encodings (ErrMalformed), over-deep values (ErrValueTooDeep) and
+// non-canonical (fused) bytecode a malicious or buggy sender may have
+// produced (ErrFusedCode).
 func Decode(data []byte) (*Agent, error) {
-	var a Agent
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&a); err != nil {
+	a, err := decodeAgent(data)
+	if err != nil {
 		return nil, fmt.Errorf("agent: decode: %w", err)
 	}
 	if vm.BundleHasFused(a.Code) {
 		return nil, fmt.Errorf("agent: decode: %w", ErrFusedCode)
 	}
-	return &a, nil
+	return a, nil
 }

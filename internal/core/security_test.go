@@ -368,3 +368,65 @@ func TestMailboxCannotClaimHostPolicyPath(t *testing.T) {
 		})
 	}
 }
+
+// TestSelfContainingStateParksAtSender: an agent that stores a list
+// inside itself cannot crash its host on departure. Sanitizing and
+// encoding stop at agent.MaxValueDepth; the encode error is permanent,
+// so the agent is parked at the server it could not leave, without
+// retries, and that server keeps hosting other agents.
+func TestSelfContainingStateParksAtSender(t *testing.T) {
+	p := mustPlatform(t)
+	s1, err := p.StartServer("s1", "s1:7000", ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := p.StartServer("s2", "s2:7000", ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	home, err := p.StartServer("home", "home:7000", ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner, _ := p.NewOwner("alice")
+	a, err := p.BuildAgent(AgentSpec{
+		Owner: owner, Name: "loop",
+		Source: `module m
+var x = 0
+func visit() {
+  var l = [0]
+  l[0] = l
+  x = l
+}`,
+		Itinerary: agent.Sequence("visit", s1.Name(), s2.Name()),
+		Home:      home,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := home.LaunchLocal(a); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(waitTime)
+	for s1.Stats().Parked == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("agent not parked at s1: %+v", s1.Stats())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if st := s1.Stats(); st.Retries != 0 || st.Dispatches != 0 {
+		t.Fatalf("an encode failure was retried or sent: %+v", st)
+	}
+	ok, err := p.BuildAgent(AgentSpec{
+		Owner: owner, Name: "after",
+		Source:    "module m\nfunc visit() { report(1) }",
+		Itinerary: agent.Sequence("visit", s1.Name(), s2.Name()),
+		Home:      home,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.LaunchAndWait(home, ok, waitTime); err != nil {
+		t.Fatalf("s1 stopped hosting after the parked agent: %v", err)
+	}
+}

@@ -137,7 +137,7 @@ func (s RightSet) String() string {
 }
 
 // GobEncode serializes the set via its canonical textual form, so
-// credentials (which carry right sets) survive agent migration.
+// credentials (which carry right sets) can be gob-encoded.
 func (s RightSet) GobEncode() ([]byte, error) {
 	return []byte(s.String()), nil
 }
@@ -162,4 +162,25 @@ func ParseRightSet(s string) RightSet {
 		}
 	}
 	return NewRightSet(rs...)
+}
+
+// ParseCanonicalRightSet parses s like ParseRightSet and also reports
+// whether s is exactly the String form of the parsed set: non-empty
+// rights without surrounding space, in strictly increasing order. The
+// agent codec carries right sets in that form and accepts no other
+// spelling, so a decoded set re-encodes to the same bytes.
+func ParseCanonicalRightSet(s string) (RightSet, bool) {
+	return ParseRightSet(s), canonicalRights(s)
+}
+
+func canonicalRights(s string) bool {
+	prev := ""
+	for i := 0; s != ""; i++ {
+		r, rest, found := strings.Cut(s, ",")
+		if r == "" || r != strings.TrimSpace(r) || (i > 0 && r <= prev) || (found && rest == "") {
+			return false
+		}
+		prev, s = r, rest
+	}
+	return true
 }

@@ -137,3 +137,51 @@ func TestQuickRestrictIdempotentSubset(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Property: a right set's String form parses back as canonical with
+// identical permission semantics — the form the agent codec carries
+// (and signs) across migration.
+func TestQuickRightSetStringRoundTrip(t *testing.T) {
+	probe := []Right{"a.x", "a.*", "b.y", "*", "c"}
+	f := func(seed int64) bool {
+		rs := randomRightSet(rand.New(rand.NewSource(seed)))
+		got, ok := ParseCanonicalRightSet(rs.String())
+		if !ok {
+			return false
+		}
+		for _, p := range probe {
+			if got.Permits(p) != rs.Permits(p) {
+				return false
+			}
+		}
+		return got.String() == rs.String()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestParseCanonicalRightSet: only the exact String form is canonical.
+func TestParseCanonicalRightSet(t *testing.T) {
+	for s, want := range map[string]bool{
+		"":          true,
+		"*":         true,
+		"a.x,b.y":   true,
+		"b.y,a.x":   false, // unsorted
+		"a.x,a.x":   false, // duplicate
+		"a.x,":      false, // empty right
+		",a.x":      false,
+		" a.x":      false, // surrounding space
+		"a.x ,b.y":  false,
+		"a.x,,b.y":  false,
+		"a.*,a.x,b": true,
+	} {
+		rs, ok := ParseCanonicalRightSet(s)
+		if ok != want {
+			t.Errorf("ParseCanonicalRightSet(%q) canonical = %v, want %v", s, ok, want)
+		}
+		if ok && rs.String() != s {
+			t.Errorf("canonical %q re-renders as %q", s, rs.String())
+		}
+	}
+}

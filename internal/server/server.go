@@ -341,7 +341,8 @@ func New(cfg Config) (*Server, error) {
 
 // transientTransferErr is the default dispatch error classifier: a
 // receiver that rejected the agent, failed authentication, a name with
-// no binding, or an explicitly permanent error will not improve with
+// no binding, an agent the codec refuses to encode (over-deep state,
+// fused code) or an explicitly permanent error will not improve with
 // retrying; anything else (refused dial, reset, timeout, partition) is
 // assumed transient. A load-shed (admission.ErrShed) deliberately falls
 // in the transient bucket — the receiver said "later", not "never" —
@@ -355,7 +356,9 @@ func transientTransferErr(err error) bool {
 		errors.Is(err, transfer.ErrAuth),
 		errors.Is(err, transfer.ErrPoolClosed),
 		errors.Is(err, names.ErrNotBound),
-		errors.Is(err, names.ErrNoAuthority):
+		errors.Is(err, names.ErrNoAuthority),
+		errors.Is(err, agent.ErrValueTooDeep),
+		errors.Is(err, agent.ErrFusedCode):
 		return false
 	}
 	return true

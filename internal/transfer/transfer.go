@@ -116,7 +116,7 @@ type authMsg struct {
 
 type agentMsg struct {
 	Sender names.Name
-	Data   []byte // gob-encoded agent
+	Data   []byte // agent.Encode output (the agent codec)
 	// Manifest surfaces the agent's declared access manifest in the
 	// envelope, so a receiver sees the claimed capability needs before
 	// (and independently of) decoding the full agent. It must agree

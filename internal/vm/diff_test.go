@@ -4,8 +4,6 @@
 package vm_test
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"reflect"
 	"testing"
@@ -369,12 +367,9 @@ func TestWireCanonicality(t *testing.T) {
 		t.Fatalf("Encode accepted fused code: %v", err)
 	}
 
-	// A malicious sender bypassing Encode: raw gob of a fused agent.
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := agent.Decode(buf.Bytes()); !errors.Is(err, agent.ErrFusedCode) {
+	// A malicious sender bypassing Encode: the codec's bytes for the
+	// fused bundle.
+	if _, err := agent.Decode(fusedWire(t, a, fused)); !errors.Is(err, agent.ErrFusedCode) {
 		t.Fatalf("Decode accepted fused code: %v", err)
 	}
 
@@ -403,6 +398,59 @@ func TestWireCanonicality(t *testing.T) {
 	if _, err := a.Encode(); err != nil {
 		t.Fatalf("canonical agent no longer encodes: %v", err)
 	}
+}
+
+// fusedWire builds the agent codec's bytes for a with its bundle
+// replaced by fused — the bytes Encode refuses to produce. Two canonical
+// stand-ins, which put OpNop or OpPop where fused has a fused opcode,
+// encode to bytes that differ exactly at those opcodes; writing the
+// fused opcodes there, in order, spells the fused bundle.
+func fusedWire(t *testing.T, a *agent.Agent, fused *vm.Module) []byte {
+	t.Helper()
+	var ops []vm.Opcode
+	standIn := func(op vm.Opcode) []byte {
+		m := *fused
+		m.Fns = make([]vm.Func, len(fused.Fns))
+		copy(m.Fns, fused.Fns)
+		for i := range m.Fns {
+			f := &m.Fns[i]
+			f.Code = append([]vm.Instr(nil), f.Code...)
+			for j := range f.Code {
+				if f.Code[j].Op.Fused() {
+					f.Code[j].Op = op
+				}
+			}
+		}
+		b := *a
+		b.Code = []vm.Module{m}
+		data, err := b.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	for i := range fused.Fns {
+		for _, ins := range fused.Fns[i].Code {
+			if ins.Op.Fused() {
+				ops = append(ops, ins.Op)
+			}
+		}
+	}
+	out, other := standIn(vm.OpNop), standIn(vm.OpPop)
+	k := 0
+	for i := range out {
+		if out[i] != other[i] {
+			if k == len(ops) {
+				t.Fatal("stand-ins differ beyond the fused opcodes")
+			}
+			out[i] = byte(ops[k])
+			k++
+		}
+	}
+	if len(ops) == 0 || k != len(ops) {
+		t.Fatalf("placed %d of %d fused opcodes", k, len(ops))
+	}
+	return out
 }
 
 // TestGlobalsLiveBetweenRuns checks the slot optimization is invisible

@@ -191,8 +191,8 @@ type Func struct {
 
 	// rt is the per-function runtime table built by Prepare (fuse.go):
 	// inline-cache slots and the verified operand-stack bound. nil on
-	// canonical (wire-form) functions; unexported so gob never carries
-	// it — serialization strips prepared state by construction.
+	// canonical (wire-form) functions; the agent codec never writes it
+	// — serialization strips prepared state by construction.
 	rt *funcRT
 }
 

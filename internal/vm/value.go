@@ -63,8 +63,8 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is a VM value. The exported-field representation keeps values
-// gob-encodable so agent state migrates without custom serializers.
+// Value is a VM value. Agent state migrates through the agent codec
+// (internal/agent), which writes only the field Kind selects.
 type Value struct {
 	Kind   Kind
 	Bool   bool
