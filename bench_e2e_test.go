@@ -17,28 +17,19 @@ import (
 	"repro/internal/keys"
 	"repro/internal/names"
 	"repro/internal/policy"
-	"repro/internal/transfer"
 	"repro/internal/vm"
 )
 
 // benchPlatform assembles a two-server platform with a counter resource.
 func benchPlatform(b *testing.B) (*core.Platform, *coreServer, *coreServer) {
-	return benchPlatformPool(b, false)
-}
-
-// benchPlatformPool is benchPlatform with the servers' outbound channel
-// pools optionally disabled (dial + handshake per transfer, the
-// pre-pooling behaviour).
-func benchPlatformPool(b *testing.B, disablePool bool) (*core.Platform, *coreServer, *coreServer) {
 	b.Helper()
 	p, err := core.NewPlatform("bench.org")
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(p.StopAll)
-	pool := transfer.PoolConfig{Disabled: disablePool}
 	open := []policy.Rule{{AnyPrincipal: true, Resource: "counter", Methods: []string{"*"}}}
-	srv, err := p.StartServer("s1", "s1:7000", core.ServerConfig{Rules: open, ChannelPool: pool})
+	srv, err := p.StartServer("s1", "s1:7000", core.ServerConfig{Rules: open})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -46,7 +37,7 @@ func benchPlatformPool(b *testing.B, disablePool bool) (*core.Platform, *coreSer
 		names.Resource("bench.org", "counter"), "counter")); err != nil {
 		b.Fatal(err)
 	}
-	home, err := p.StartServer("home", "home:7000", core.ServerConfig{ChannelPool: pool})
+	home, err := p.StartServer("home", "home:7000", core.ServerConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -88,47 +79,44 @@ func main() {
 }
 
 // BenchmarkE2E_ConcurrentAgents runs full tours from many goroutines at
-// once. The pooled variant reuses warm authenticated channels between
-// the two servers (multiple connections per peer under concurrency);
-// unpooled dials and handshakes for every transfer.
+// once over the servers' channel pools, which keep warm authenticated
+// channels between the two servers (multiple connections per peer under
+// concurrency). The per-transfer handshake cost is BenchmarkC7's; the
+// one sub-benchmark keeps the row name earlier results were recorded
+// under.
 func BenchmarkE2E_ConcurrentAgents(b *testing.B) {
-	for _, mode := range []struct {
-		name        string
-		disablePool bool
-	}{{"pooled", false}, {"unpooled", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			p, srv, home := benchPlatformPool(b, mode.disablePool)
-			owner, err := p.NewOwner("bench")
-			if err != nil {
-				b.Fatal(err)
-			}
-			homeSrv, _ := p.Server(home.S.Name())
-			var ctr atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					n := ctr.Add(1)
-					a, err := p.BuildAgent(core.AgentSpec{
-						Owner: owner,
-						Name:  fmt.Sprintf("par-%s-%d", mode.name, n),
-						Source: `module bench
+	b.Run("pooled", func(b *testing.B) {
+		p, srv, home := benchPlatform(b)
+		owner, err := p.NewOwner("bench")
+		if err != nil {
+			b.Fatal(err)
+		}
+		homeSrv, _ := p.Server(home.S.Name())
+		var ctr atomic.Int64
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				n := ctr.Add(1)
+				a, err := p.BuildAgent(core.AgentSpec{
+					Owner: owner,
+					Name:  fmt.Sprintf("par-pooled-%d", n),
+					Source: `module bench
 func main() {
   var c = get_resource("ajanta:resource:bench.org/counter")
   invoke(c, "add", 1)
 }`,
-						Itinerary: agent.Sequence("main", srv.S.Name()),
-						Home:      homeSrv,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := p.LaunchAndWait(homeSrv, a, 30*time.Second); err != nil {
-						b.Fatal(err)
-					}
+					Itinerary: agent.Sequence("main", srv.S.Name()),
+					Home:      homeSrv,
+				})
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
+				if _, err := p.LaunchAndWait(homeSrv, a, 30*time.Second); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
-	}
+	})
 }
 
 func BenchmarkASL_Compile(b *testing.B) {

@@ -543,21 +543,21 @@ func BenchmarkC7_TransferSecurity(b *testing.B) {
 						if err != nil {
 							return
 						}
-						_, _ = receiver.ReceiveAgent(conn, nil)
+						_ = receiver.ServeConn(conn, nil, nil)
 						conn.Close()
 					}
 				}()
+				// Reset after every Send closes the session, so each op
+				// pays dial + handshake + one exchange.
+				pool := transfer.NewPool(sender, transfer.PoolConfig{Dial: nw.Dial})
+				defer pool.Close()
 				a := benchTransferAgent(b, reg, owner, size)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					conn, err := nw.Dial("b:1")
-					if err != nil {
+					if err := pool.Send("b:1", a); err != nil {
 						b.Fatal(err)
 					}
-					if err := sender.SendAgent(conn, a); err != nil {
-						b.Fatal(err)
-					}
-					conn.Close()
+					pool.Reset()
 				}
 				b.ReportMetric(float64(nw.BytesSent())/float64(b.N), "wire-bytes/op")
 			})
@@ -567,10 +567,10 @@ func BenchmarkC7_TransferSecurity(b *testing.B) {
 
 // BenchmarkC7_Pooled re-runs the secure-transfer benchmark over a warm
 // channel pool: the session is dialed and authenticated once, then every
-// transfer rides it, so steady state pays gob + AES-GCM only — no
-// per-transfer key exchange, certificate verification or signatures.
-// Compare with BenchmarkC7_TransferSecurity/secure, which dials and
-// handshakes per transfer (the v0 single-shot protocol).
+// transfer rides it, so steady state pays the agent codec + AES-GCM only
+// — no per-transfer key exchange, certificate verification or
+// signatures. Compare with BenchmarkC7_TransferSecurity/secure, which
+// dials and handshakes per transfer.
 func BenchmarkC7_Pooled(b *testing.B) {
 	_, owner, reg := benchCreds(b)
 	for _, size := range []int{1 << 10, 64 << 10} {

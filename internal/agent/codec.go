@@ -30,11 +30,11 @@ import (
 // codecVersion is the leading byte of every encoded agent.
 const codecVersion = 1
 
-// MaxValueDepth caps vm.Value nesting in agent state and results: a
-// top-level value is depth 1, each list or map level adds one. Encode
-// refuses deeper values, so an agent that built one fails at its
-// sender rather than at a receiver that would reject it.
-const MaxValueDepth = 64
+// MaxValueDepth caps vm.Value nesting in agent state and results; it is
+// the VM's cap (a top-level value is depth 1, each list or map level
+// adds one). Encode refuses deeper values, so an agent that built one
+// fails at its sender rather than at a receiver that would reject it.
+const MaxValueDepth = vm.MaxValueDepth
 
 // codeDigestTag separates BundleDigest's input from every other use of
 // the codec's bytes.
@@ -42,7 +42,7 @@ const codeDigestTag = "ajanta/agent-code/v1\x00"
 
 // Errors reported by the codec, wrapped by Encode and Decode.
 var (
-	ErrValueTooDeep = fmt.Errorf("agent: value nesting exceeds %d", MaxValueDepth)
+	ErrValueTooDeep = vm.ErrValueTooDeep
 	ErrMalformed    = errors.New("agent: malformed encoding")
 )
 

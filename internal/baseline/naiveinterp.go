@@ -96,12 +96,12 @@ func (NaiveInterp) Run(env *vm.Env, m *vm.Module, fname string, args ...vm.Value
 				return vm.Nil(), ntrap(fr.m, fr.f, fr.ip-1, "neg of %s", a.Kind)
 			}
 			fr.push(vm.I(-a.Int))
-		case vm.OpEq:
+		case vm.OpEq, vm.OpNe:
 			b, a := fr.pop(), fr.pop()
-			fr.push(vm.B(a.Equal(b)))
-		case vm.OpNe:
-			b, a := fr.pop(), fr.pop()
-			fr.push(vm.B(!a.Equal(b)))
+			if a.CheckDepth() != nil || b.CheckDepth() != nil {
+				return vm.Nil(), fmt.Errorf("%w: %s.%s@%d: %w", vm.ErrTrap, fr.m.Name, fr.f.Name, fr.ip-1, vm.ErrValueTooDeep)
+			}
+			fr.push(vm.B(a.Equal(b) == (ins.Op == vm.OpEq)))
 		case vm.OpLt, vm.OpLe, vm.OpGt, vm.OpGe:
 			b, a := fr.pop(), fr.pop()
 			v, err := ncompare(fr, ins.Op, a, b)

@@ -133,7 +133,7 @@ type ServerConfig struct {
 	// arrival gate (server.AdmissionOff / server.AdmissionEnforce).
 	Admission server.AdmissionMode
 	// ChannelPool tunes the outbound persistent-channel pool (zero
-	// fields = pool defaults; Disabled = dial per transfer).
+	// fields = pool defaults).
 	ChannelPool transfer.PoolConfig
 }
 

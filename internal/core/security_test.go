@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/agent"
 	"repro/internal/cred"
+	"repro/internal/domain"
 	"repro/internal/names"
 	"repro/internal/policy"
 	"repro/internal/vm"
@@ -428,5 +430,80 @@ func visit() {
 	}
 	if _, err := p.LaunchAndWait(home, ok, waitTime); err != nil {
 		t.Fatalf("s1 stopped hosting after the parked agent: %v", err)
+	}
+}
+
+// TestSelfContainingValueFailsOnlyTheAgent: a list the agent made
+// contain itself (legal through set-index) has no depth, so every
+// recursive walk of it must stop at vm.MaxValueDepth. Each operation
+// below used to overflow the host's stack — a fatal error that kills
+// the whole server process, not just the agent. It must instead fail
+// the agent with the depth error, and the server must go on hosting.
+func TestSelfContainingValueFailsOnlyTheAgent(t *testing.T) {
+	p := mustPlatform(t)
+	srv, err := p.StartServer("s1", "s1:7000", ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	home, err := p.StartServer("home", "home:7000", ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner, _ := p.NewOwner("alice")
+	for i, tc := range []struct{ name, body string }{
+		{"report", `report(l)`},
+		{"log", `log(l)`},
+		{"eq", `var b = l == m`},
+		{"eq-branch", `if l != m { report(1) }`},
+		{"str", `var s = str(l)`},
+		{"contains", `var c = contains([l], m)`},
+		{"mailbox-send", `make_mailbox("ajanta:resource:umn.edu/deep-mbox", "deep-mbox")
+  var mb = get_resource("ajanta:resource:umn.edu/deep-mbox")
+  invoke(mb, "send", l)`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, err := p.BuildAgent(AgentSpec{
+				Owner: owner, Name: fmt.Sprintf("deep-%d", i),
+				Source: `module m
+func main() {
+  var l = [0]
+  l[0] = l
+  var m = [0]
+  m[0] = m
+  ` + tc.body + `
+}`,
+				Itinerary: agent.Sequence("main", srv.Name()),
+				Home:      home,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			back, err := p.LaunchAndWait(home, a, waitTime)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if log := strings.Join(back.Log, "\n"); !strings.Contains(log, "value nesting exceeds") {
+				t.Fatalf("log = %q, want the depth error", back.Log)
+			}
+			if st, ok := srv.AgentStatus(a.Name); !ok || st != domain.StatusFailed {
+				t.Fatalf("status = %v, %v; want failed", st, ok)
+			}
+			next, err := p.BuildAgent(AgentSpec{
+				Owner: owner, Name: fmt.Sprintf("next-%d", i),
+				Source:    "module m\nfunc main() { report(1) }",
+				Itinerary: agent.Sequence("main", srv.Name()),
+				Home:      home,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			back, err = p.LaunchAndWait(home, next, waitTime)
+			if err != nil {
+				t.Fatalf("s1 stopped hosting: %v", err)
+			}
+			if len(back.Results) != 1 || !back.Results[0].Equal(vm.I(1)) {
+				t.Fatalf("next agent's results = %v", back.Results)
+			}
+		})
 	}
 }

@@ -107,11 +107,17 @@ func (s *Server) installHostAPI(v *visit) {
 		if err := need(args, 1, "log"); err != nil {
 			return vm.Nil(), err
 		}
+		if err := args[0].CheckDepth(); err != nil {
+			return vm.Nil(), err
+		}
 		a.Log = append(a.Log, fmt.Sprintf("%s: %s", s.Name(), args[0].Text()))
 		return vm.Nil(), nil
 	}
 	host["report"] = func(args []vm.Value) (vm.Value, error) {
 		if err := need(args, 1, "report"); err != nil {
+			return vm.Nil(), err
+		}
+		if err := args[0].CheckDepth(); err != nil {
 			return vm.Nil(), err
 		}
 		a.Results = append(a.Results, args[0].Clone())

@@ -38,6 +38,9 @@ func (s *Server) newMailbox(v *visit, rn names.Name, path string) *resource.Def 
 				if len(args) != 1 {
 					return vm.Nil(), fmt.Errorf("%w: send wants 1 arg", ErrBadArg)
 				}
+				if err := args[0].CheckDepth(); err != nil {
+					return vm.Nil(), err
+				}
 				v.mailMu.Lock()
 				defer v.mailMu.Unlock()
 				if len(v.mailbox) >= mailboxCapacity {

@@ -109,7 +109,7 @@ type Config struct {
 	// transfer goes through: sessions to repeat destinations are kept
 	// open and reused, paying the authentication handshake once per
 	// connection instead of once per agent. Zero fields take pool
-	// defaults; Disabled forces the dial-per-transfer behaviour.
+	// defaults.
 	ChannelPool transfer.PoolConfig
 	// DecisionCacheSize bounds the policy decision cache consulted on
 	// every resource binding (binding.go); 0 applies

@@ -70,8 +70,8 @@ func TestSessionRecvTooLarge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newSession(c, names.Name{}, 0)
-	if _, err := s.recv(); !errors.Is(err, ErrTooLarge) {
+	s := newSession(c, names.Name{})
+	if _, err := s.recv(false, 0); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("got %v", err)
 	}
 }
@@ -103,7 +103,7 @@ func TestHandshakeTimeout(t *testing.T) {
 	}
 	defer conn.Close()
 	start := time.Now()
-	if _, err := ep.handshake(conn, true, time.Time{}, 0); err == nil {
+	if _, err := ep.connect(conn); err == nil {
 		t.Fatal("handshake with mute peer succeeded")
 	}
 	if time.Since(start) > 5*time.Second {
@@ -124,15 +124,15 @@ func TestPlaintextSessionFrames(t *testing.T) {
 		if err != nil {
 			return
 		}
-		s := newSession(c, names.Name{}, 0)
-		data, _ := s.recv()
+		s := newSession(c, names.Name{})
+		data, _ := s.recv(false, 0)
 		done <- data
 	}()
 	c, err := nw.Dial("a:1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newSession(c, names.Name{}, 0)
+	s := newSession(c, names.Name{})
 	if err := s.send([]byte("clear")); err != nil {
 		t.Fatal(err)
 	}

@@ -18,8 +18,7 @@ var ErrPoolClosed = errors.New("transfer: channel pool closed")
 
 // PoolConfig tunes the per-destination channel pool.
 type PoolConfig struct {
-	// Dial opens a transport connection to an address. Required unless
-	// Disabled.
+	// Dial opens a transport connection to an address. Required.
 	Dial func(addr string) (net.Conn, error)
 	// MaxPerPeer caps live (idle + checked-out) sessions per
 	// destination; further senders wait for a checkin. Default 4.
@@ -28,10 +27,6 @@ type PoolConfig struct {
 	// long; eviction happens lazily at checkout and in a background
 	// sweep. Default 30s.
 	IdleTimeout time.Duration
-	// Disabled bypasses pooling entirely: every Send dials, transfers
-	// single-shot, and closes — the pre-pool behaviour, kept as the
-	// benchmark baseline and an escape hatch.
-	Disabled bool
 }
 
 func (c PoolConfig) withDefaults() PoolConfig {
@@ -107,10 +102,6 @@ func NewPool(ep *Endpoint, cfg PoolConfig) *Pool {
 		peers:    make(map[string]*peerPool),
 		reapDone: make(chan struct{}),
 		reapStop: make(chan struct{}),
-	}
-	if p.cfg.Disabled {
-		close(p.reapDone)
-		return p
 	}
 	go p.reapLoop()
 	return p
@@ -202,13 +193,13 @@ func (p *Pool) checkout(addr string, skipIdle bool) (s *session, reused bool, ge
 }
 
 // checkin returns a healthy session to the idle list. Sessions from a
-// stale generation (Reset ran meanwhile), version-0 sessions (the peer
-// cannot stream), and checkins after Close are closed instead.
+// stale generation (Reset ran meanwhile) and checkins after Close are
+// closed instead.
 func (p *Pool) checkin(addr string, s *session, gen uint64) {
 	pp := p.peer(addr)
 	pp.mu.Lock()
 	pp.active--
-	if p.isClosed() || gen != pp.gen || s.version < 1 {
+	if p.isClosed() || gen != pp.gen {
 		pp.mu.Unlock()
 		pp.cond.Broadcast()
 		_ = s.conn.Close()
@@ -245,52 +236,40 @@ func (p *Pool) discard(addr string, s *session) {
 // retries in particular must not burn the warm channel they will soon
 // travel over.
 func (p *Pool) Send(addr string, a *agent.Agent) error {
-	if p.cfg.Disabled {
-		if p.isClosed() {
-			return ErrPoolClosed
-		}
-		conn, err := p.cfg.Dial(addr)
-		if err != nil {
-			return err
-		}
-		defer conn.Close()
-		return p.ep.SendAgent(conn, a)
-	}
 	s, reused, gen, err := p.checkout(addr, false)
 	if err != nil {
 		return err
 	}
-	err = p.ep.sendOn(s, a)
-	switch {
-	case err == nil:
-		p.checkin(addr, s, gen)
-		return nil
-	case errors.Is(err, ErrRejected), errors.Is(err, admission.ErrShed):
-		p.checkin(addr, s, gen)
-		return err
-	}
-	p.discard(addr, s)
-	if !reused {
+	err = p.exchange(addr, s, gen, a)
+	if err == nil || !reused || receiverSpoke(err) {
 		return err
 	}
 	// The pooled session was stale (peer restarted, idle timeout raced,
 	// connection reset while parked). Dial fresh and try once more.
 	p.staleRedials.Add(1)
-	s, _, gen, err2 := p.checkout(addr, true)
-	if err2 != nil {
-		return err2
+	s, _, gen, err = p.checkout(addr, true)
+	if err != nil {
+		return err
 	}
-	err2 = p.ep.sendOn(s, a)
-	switch {
-	case err2 == nil:
+	return p.exchange(addr, s, gen, a)
+}
+
+// exchange runs one transfer on a checked-out session, then checks the
+// session back in if the receiver answered and discards it otherwise.
+func (p *Pool) exchange(addr string, s *session, gen uint64, a *agent.Agent) error {
+	err := p.ep.exchange(s, a)
+	if err == nil || receiverSpoke(err) {
 		p.checkin(addr, s, gen)
-		return nil
-	case errors.Is(err2, ErrRejected), errors.Is(err2, admission.ErrShed):
-		p.checkin(addr, s, gen)
-		return err2
+	} else {
+		p.discard(addr, s)
 	}
-	p.discard(addr, s)
-	return err2
+	return err
+}
+
+// receiverSpoke reports whether err is the receiver's verdict on an
+// agent (a reject or a shed) rather than a failure of the channel.
+func receiverSpoke(err error) bool {
+	return errors.Is(err, ErrRejected) || errors.Is(err, admission.ErrShed)
 }
 
 // Reset closes every idle session and invalidates checked-out ones (they
@@ -328,10 +307,8 @@ func (p *Pool) Close() {
 	already := p.closed
 	p.closed = true
 	p.mu.Unlock()
-	if !p.cfg.Disabled {
-		p.stopReap.Do(func() { close(p.reapStop) })
-		<-p.reapDone
-	}
+	p.stopReap.Do(func() { close(p.reapStop) })
+	<-p.reapDone
 	if already {
 		return
 	}

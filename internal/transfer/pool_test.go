@@ -384,87 +384,3 @@ func TestPoolRejectionKeepsSession(t *testing.T) {
 		t.Fatalf("Dials = %d, want 1", st.Dials)
 	}
 }
-
-func TestPoolDisabled(t *testing.T) {
-	w := newWorld(t)
-	hosted, stop := servePool(t, w, "b:7000", nil)
-	defer stop()
-	p := newTestPool(w, PoolConfig{Disabled: true})
-	defer p.Close()
-	a := testAgent(t, w.reg)
-	for i := 0; i < 3; i++ {
-		if err := p.Send("b:7000", a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := p.Stats(); st.Dials != 0 || st.Reuses != 0 || st.Idle != 0 {
-		t.Fatalf("disabled pool kept state: %+v", st)
-	}
-	waitHosted(t, hosted, 3)
-}
-
-// TestPoolToSingleShotReceiver covers new->old interop: the pooled
-// sender negotiates down to version 0 against a ReceiveAgent responder
-// and simply does not reuse the session.
-func TestPoolToSingleShotReceiver(t *testing.T) {
-	w := newWorld(t)
-	l, err := w.net.Listen("b:7000")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			if _, err := w.b.ReceiveAgent(conn, nil); err != nil {
-				conn.Close()
-				return
-			}
-			conn.Close()
-		}
-	}()
-	p := newTestPool(w, PoolConfig{})
-	defer p.Close()
-	a := testAgent(t, w.reg)
-	for i := 0; i < 3; i++ {
-		if err := p.Send("b:7000", a); err != nil {
-			t.Fatalf("send %d to v0 receiver: %v", i, err)
-		}
-	}
-	st := p.Stats()
-	if st.Dials != 3 {
-		t.Fatalf("Dials = %d, want 3 (v0 sessions must not pool)", st.Dials)
-	}
-	if st.Idle != 0 {
-		t.Fatalf("v0 session parked in the pool: %+v", st)
-	}
-	l.Close()
-	wg.Wait()
-}
-
-// TestSingleShotSenderToServeConn covers old->new interop: a version-0
-// SendAgent against a streaming ServeConn receiver completes exactly one
-// exchange.
-func TestSingleShotSenderToServeConn(t *testing.T) {
-	w := newWorld(t)
-	hosted, stop := servePool(t, w, "b:7000", nil)
-	defer stop()
-	a := testAgent(t, w.reg)
-	for i := 0; i < 2; i++ {
-		conn, err := w.net.Dial("b:7000")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.a.SendAgent(conn, a); err != nil {
-			t.Fatalf("single-shot send to streaming receiver: %v", err)
-		}
-		conn.Close()
-	}
-	waitHosted(t, hosted, 2)
-}

@@ -17,13 +17,13 @@
 // A plaintext mode exists solely as the baseline for experiment C7's
 // "cost of security" measurement.
 //
-// Sessions are versioned. A version-1 session (negotiated via a byte in
-// the hello; absent = version 0) stays open after a transfer and
-// carries a stream of agent/ack exchanges, which is what the channel
-// Pool builds on: the ed25519 + X25519 handshake is paid once per
-// connection instead of once per agent. Version-0 peers (older
-// binaries, or the single-shot SendAgent/ReceiveAgent API) interoperate
-// transparently — the session is simply not reused.
+// There is one session protocol: one handshake, then any number of
+// sealed agent/ack exchanges. Senders reach it through Pool.Send, which
+// keeps sessions open so the ed25519 + X25519 handshake is paid once
+// per connection instead of once per agent; receivers serve it with
+// ServeConn. An agent frame's plaintext is exactly the agent codec's
+// bytes (agent.Encode); its ack is the hand-framed verdict described at
+// ack.
 package transfer
 
 import (
@@ -38,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -47,7 +48,6 @@ import (
 	"repro/internal/keys"
 	"repro/internal/names"
 	"repro/internal/resource"
-	"repro/internal/vm/analysis"
 )
 
 // Errors.
@@ -58,16 +58,12 @@ var (
 	ErrTooLarge  = errors.New("transfer: frame exceeds size limit")
 )
 
+// errMalformedAck reports an ack frame that does not parse; the session
+// carrying it is not used again.
+var errMalformedAck = errors.New("transfer: malformed ack")
+
 // MaxFrame bounds a single frame (handshake message or sealed agent).
 const MaxFrame = 16 << 20
-
-// SessionVersion is the highest session protocol version this build
-// speaks. Version 0 is the original single-shot protocol (one agent,
-// one ack, close); version 1 keeps the session open for a stream of
-// agent/ack exchanges with persistent per-direction gob codecs. The
-// negotiated version is min(initiator, responder), so either side can
-// force single-shot behaviour.
-const SessionVersion = 1
 
 // Endpoint is one side of the transfer protocol: a server identity plus
 // the CA verifier used to check peers.
@@ -79,11 +75,12 @@ type Endpoint struct {
 	Plaintext bool
 	// HandshakeTimeout bounds the handshake; zero means no deadline.
 	HandshakeTimeout time.Duration
-	// TransferTimeout bounds one whole SendAgent / ReceiveAgent
-	// exchange (handshake, agent payload, ack); zero means no overall
-	// deadline. A stalled peer or a connection that silently stops
-	// draining then fails with a timeout instead of wedging the
-	// dispatching goroutine forever.
+	// TransferTimeout bounds a sender's handshake and each agent/ack
+	// exchange it runs, and a receiver's wait for the rest of an agent
+	// frame once its header arrived; zero means no overall deadline. A
+	// stalled peer or a connection that silently stops draining then
+	// fails with a timeout instead of wedging the dispatching goroutine
+	// forever.
 	TransferTimeout time.Duration
 	// OnAck, when set, runs after a receiver accepts an agent this
 	// endpoint sent: receiver is the session's authenticated peer and
@@ -103,37 +100,74 @@ type helloMsg struct {
 	Cert       keys.Certificate
 	Nonce      [32]byte
 	EphPub     []byte // X25519 public key; empty in plaintext mode
-	// Version is the sender's maximum session version. Gob omits zero
-	// values, so a hello from an older binary decodes as Version 0 —
-	// the single-shot protocol — and an old binary ignores the field
-	// entirely; both directions of the upgrade interoperate.
-	Version uint8
 }
 
 type authMsg struct {
 	Sig []byte // signature over the handshake transcript
 }
 
-type agentMsg struct {
-	Sender names.Name
-	Data   []byte // agent.Encode output (the agent codec)
-	// Manifest surfaces the agent's declared access manifest in the
-	// envelope, so a receiver sees the claimed capability needs before
-	// (and independently of) decoding the full agent. It must agree
-	// with the manifest inside Data; a mismatch is rejected.
-	Manifest *analysis.Manifest
+// Ack verdicts: the first byte of every ack frame.
+const (
+	verdictAccept byte = 1
+	verdictReject byte = 2
+	verdictShed   byte = 3
+)
+
+// maxRetryAfterMillis keeps a shed's retry-after hint representable as
+// a time.Duration.
+const maxRetryAfterMillis = uint64(math.MaxInt64 / int64(time.Millisecond))
+
+// ack is the receiver's verdict on one agent frame. On the wire it is
+// the verdict byte; for a shed, the retry-after hint in milliseconds as
+// a minimal uvarint; then, for a reject or a shed, the reason's bytes
+// to the end of the frame. An accept is the verdict byte alone. A shed
+// is a load-shedding deferral (admission tier over limit): transient by
+// contract, unlike a reject.
+type ack struct {
+	verdict     byte
+	retryMillis uint64 // shed only
+	reason      string // reject and shed only
 }
 
-type ackMsg struct {
-	Accepted bool
-	Reason   string
-	// Shed marks a load-shedding rejection (admission tier over limit):
-	// transient by contract, unlike an ordinary nack, and carrying an
-	// optional retry-after hint in milliseconds. Gob omits zero values,
-	// so acks from (and to) older binaries interoperate: a plain nack
-	// decodes with Shed false, and an old sender ignores both fields.
-	Shed             bool
-	RetryAfterMillis int64
+func appendAck(b []byte, k ack) []byte {
+	b = append(b, k.verdict)
+	switch k.verdict {
+	case verdictAccept:
+		return b
+	case verdictShed:
+		b = binary.AppendUvarint(b, k.retryMillis)
+	}
+	return append(b, k.reason...)
+}
+
+// parseAck parses an ack frame. An unknown verdict, a truncated,
+// overlong or non-minimal varint, a hint past maxRetryAfterMillis and
+// bytes after an accept are errors, so every ack that parses re-encodes
+// to the same bytes.
+func parseAck(b []byte) (ack, error) {
+	if len(b) == 0 {
+		return ack{}, errMalformedAck
+	}
+	k := ack{verdict: b[0]}
+	b = b[1:]
+	switch k.verdict {
+	case verdictAccept:
+		if len(b) != 0 {
+			return ack{}, errMalformedAck
+		}
+		return k, nil
+	case verdictShed:
+		v, n := binary.Uvarint(b)
+		if n <= 0 || (n > 1 && b[n-1] == 0) || v > maxRetryAfterMillis {
+			return ack{}, errMalformedAck
+		}
+		k.retryMillis, b = v, b[n:]
+	case verdictReject:
+	default:
+		return ack{}, errMalformedAck
+	}
+	k.reason = string(b)
+	return k, nil
 }
 
 // framePool recycles the scratch buffers behind every frame encode and
@@ -151,9 +185,9 @@ const gcmTagSize = 16
 
 var tagPad [gcmTagSize]byte
 
-// writeFrame sends a length-prefixed gob-encoded message (handshake
-// messages; session payloads go through writeMsg). Header and body go
-// out in one Write from a pooled buffer.
+// writeFrame sends a length-prefixed gob-encoded handshake message
+// (session payloads go through session.send). Header and body go out in
+// one Write from a pooled buffer.
 func writeFrame(w io.Writer, v any) error {
 	buf := framePool.Get().(*bytes.Buffer)
 	defer framePool.Put(buf)
@@ -191,26 +225,10 @@ func readFrame(r io.Reader, v any) error {
 	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
 }
 
-// frameFeeder hands a session's persistent gob decoder the plaintext of
-// the current frame. Frames align with Encode calls on the peer, so one
-// Decode consumes exactly one frame; EOF between frames is never
-// surfaced because the next frame is fed before the next Decode.
-type frameFeeder struct{ data []byte }
-
-func (f *frameFeeder) Read(p []byte) (int, error) {
-	if len(f.data) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, f.data)
-	f.data = f.data[n:]
-	return n, nil
-}
-
 // session is an established secure (or plaintext) channel.
 type session struct {
 	conn    net.Conn
 	peer    names.Name
-	version uint8       // negotiated session version
 	aead    cipher.AEAD // nil in plaintext mode
 	sendCtr uint64
 	recvCtr uint64
@@ -218,26 +236,20 @@ type session struct {
 	recvDir byte
 	nbuf    [12]byte // GCM nonce scratch
 
-	// wbuf frames outgoing messages: [4-byte len][payload][tag room],
+	// wbuf frames outgoing payloads: [4-byte len][payload][tag room],
 	// sealed in place and written with one conn.Write. rbuf is the
-	// receive scratch, opened in place. For version >= 1 the gob
-	// codecs persist for the session's life, so type descriptors cross
-	// the wire once per session instead of once per message.
+	// receive scratch, opened in place; abuf is the ack encode scratch.
 	wbuf     *bytes.Buffer
 	rbuf     []byte
-	enc      *gob.Encoder
-	feed     *frameFeeder
-	dec      *gob.Decoder
+	abuf     []byte
 	released bool
 }
 
-func newSession(conn net.Conn, peer names.Name, version uint8) *session {
+func newSession(conn net.Conn, peer names.Name) *session {
 	return &session{
-		conn:    conn,
-		peer:    peer,
-		version: version,
-		wbuf:    framePool.Get().(*bytes.Buffer),
-		feed:    &frameFeeder{},
+		conn: conn,
+		peer: peer,
+		wbuf: framePool.Get().(*bytes.Buffer),
 	}
 }
 
@@ -262,39 +274,38 @@ func transcriptHash(a, b helloMsg) []byte {
 		h.Write(m.Cert.PublicKey)
 		h.Write(m.Nonce[:])
 		h.Write(m.EphPub)
-		// The version byte is deliberately NOT part of the transcript:
-		// old binaries hash exactly these four fields, and including a
-		// new one would break their signature check against upgraded
-		// peers. A stripped version byte can only downgrade a session
-		// to single-shot (version 0) — every security property of the
-		// channel is identical across versions, so the worst a
-		// downgrade costs is handshake amortization.
 	}
 	enc(a)
 	enc(b)
 	return h.Sum(nil)
 }
 
-// handshake runs the mutual-auth key agreement. initiator controls the
-// message order; both sides end with the same session key. maxVersion
-// caps the session version this side offers (the negotiated version is
-// the minimum of both offers). A non-zero outer deadline (the
-// transfer-wide one) is restored on exit so the handshake's own tighter
-// deadline does not cancel it.
-func (e *Endpoint) handshake(conn net.Conn, initiator bool, outer time.Time, maxVersion uint8) (*session, error) {
-	if e.HandshakeTimeout > 0 {
+// connect runs the initiator handshake on an established conn, bounded
+// by HandshakeTimeout and, as the first step of a transfer attempt, by
+// TransferTimeout. The returned session is what the Pool checks in and
+// out; it carries no deadline into its idle life.
+func (e *Endpoint) connect(conn net.Conn) (*session, error) {
+	limit := e.HandshakeTimeout
+	if e.TransferTimeout > 0 && (limit <= 0 || e.TransferTimeout < limit) {
+		limit = e.TransferTimeout
+	}
+	return e.handshake(conn, true, limit)
+}
+
+// handshake runs the mutual-auth key agreement under a deadline of
+// limit from now (none when limit is zero), cleared on return.
+// initiator controls the message order; both sides end with the same
+// session key.
+func (e *Endpoint) handshake(conn net.Conn, initiator bool, limit time.Duration) (*session, error) {
+	if limit > 0 {
 		// Timeouts here are seconds-scale; the shared coarse clock
 		// (internal/resource/clock.go) is millisecond-accurate, which is
 		// plenty, and avoids a precise clock read per attempt.
-		d := resource.CoarseTime().Add(e.HandshakeTimeout)
-		if !outer.IsZero() && outer.Before(d) {
-			d = outer
-		}
-		_ = conn.SetDeadline(d)
-		defer conn.SetDeadline(outer)
+		_ = conn.SetDeadline(resource.CoarseTime().Add(limit))
+		defer conn.SetDeadline(time.Time{})
 	}
 	var ephKey *ecdh.PrivateKey
-	mine := helloMsg{ServerName: e.Identity.Name, Cert: e.Identity.Cert, Version: maxVersion}
+	mine := helloMsg{ServerName: e.Identity.Name, Cert: e.Identity.Cert}
 	if _, err := rand.Read(mine.Nonce[:]); err != nil {
 		return nil, err
 	}
@@ -364,11 +375,7 @@ func (e *Endpoint) handshake(conn net.Conn, initiator bool, outer time.Time, max
 		return nil, fmt.Errorf("%w: bad transcript signature from %s", ErrAuth, theirs.ServerName)
 	}
 
-	version := maxVersion
-	if theirs.Version < version {
-		version = theirs.Version
-	}
-	s := newSession(conn, theirs.ServerName, version)
+	s := newSession(conn, theirs.ServerName)
 	if initiator {
 		s.sendDir, s.recvDir = 1, 2
 	} else {
@@ -404,18 +411,6 @@ func (e *Endpoint) handshake(conn net.Conn, initiator bool, outer time.Time, max
 	return s, nil
 }
 
-// transferDeadline applies TransferTimeout to conn and returns the
-// resulting absolute deadline (zero when the timeout is unset). Like
-// every transfer deadline it is computed on the shared coarse clock.
-func (e *Endpoint) transferDeadline(conn net.Conn) time.Time {
-	if e.TransferTimeout <= 0 {
-		return time.Time{}
-	}
-	d := resource.CoarseTime().Add(e.TransferTimeout)
-	_ = conn.SetDeadline(d)
-	return d
-}
-
 // nonce fills the session's 12-byte GCM nonce scratch for direction dir
 // and counter ctr.
 func (s *session) nonce(dir byte, ctr uint64) []byte {
@@ -447,31 +442,9 @@ func (s *session) flushFrame() error {
 	return err
 }
 
-// writeMsg gob-encodes v straight into the session's frame buffer and
-// sends it as one sealed frame: no intermediate encode buffer, no
-// separate seal allocation, one Write. On version >= 1 sessions the
-// encoder persists, so gob type descriptors are transmitted once per
-// session rather than once per message.
-func (s *session) writeMsg(v any) error {
-	s.wbuf.Reset()
-	s.wbuf.Write(hdrPad[:])
-	var err error
-	if s.version >= 1 {
-		if s.enc == nil {
-			s.enc = gob.NewEncoder(s.wbuf)
-		}
-		err = s.enc.Encode(v)
-	} else {
-		err = gob.NewEncoder(s.wbuf).Encode(v)
-	}
-	if err != nil {
-		return fmt.Errorf("transfer: encode: %w", err)
-	}
-	return s.flushFrame()
-}
-
-// send seals (or passes through) one raw payload. Kept for tests that
-// drive the frame layer directly; protocol messages use writeMsg.
+// send frames one payload: header reserve, payload, then sealed in
+// place and written with one Write. It is the only path a session's
+// frames take out.
 func (s *session) send(payload []byte) error {
 	s.wbuf.Reset()
 	s.wbuf.Write(hdrPad[:])
@@ -479,13 +452,19 @@ func (s *session) send(payload []byte) error {
 	return s.flushFrame()
 }
 
-// readPayload reads one frame into the session's receive scratch and
-// opens it in place. The returned slice aliases s.rbuf and is valid
-// until the next read. idleWait clears the read deadline while waiting
+func (s *session) sendAck(k ack) error {
+	s.abuf = appendAck(s.abuf[:0], k)
+	return s.send(s.abuf)
+}
+
+// recv reads one frame into the session's receive scratch and opens it
+// in place; a tampered, replayed or reordered frame fails
+// authentication here. The returned slice aliases s.rbuf and is valid
+// until the next recv. idleWait clears the read deadline while waiting
 // for the frame header (a pooled session sits idle between transfers),
 // then applies exchange as the deadline for the frame body and, via
 // SetDeadline, the rest of the exchange.
-func (s *session) readPayload(idleWait bool, exchange time.Duration) ([]byte, error) {
+func (s *session) recv(idleWait bool, exchange time.Duration) ([]byte, error) {
 	var lenBuf [4]byte
 	if idleWait {
 		_ = s.conn.SetDeadline(time.Time{})
@@ -518,80 +497,42 @@ func (s *session) readPayload(idleWait bool, exchange time.Duration) ([]byte, er
 	return plain, nil
 }
 
-// readMsg receives one frame and gob-decodes it into v. On version >= 1
-// sessions the decoder persists across messages, mirroring writeMsg's
-// persistent encoder.
-func (s *session) readMsg(v any, idleWait bool, exchange time.Duration) error {
-	plain, err := s.readPayload(idleWait, exchange)
-	if err != nil {
-		return err
-	}
-	if s.version >= 1 {
-		s.feed.data = plain
-		if s.dec == nil {
-			s.dec = gob.NewDecoder(s.feed)
-		}
-		return s.dec.Decode(v)
-	}
-	return gob.NewDecoder(bytes.NewReader(plain)).Decode(v)
-}
-
-// recv reads and opens one payload, returning a copy the caller may
-// keep. A tampered, replayed or reordered frame fails authentication
-// here.
-func (s *session) recv() ([]byte, error) {
-	plain, err := s.readPayload(false, 0)
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), plain...), nil
-}
-
-// connect dials nothing — conn is already established — but runs the
-// initiator handshake offering session streaming. The returned session
-// is what the Pool checks in and out.
-func (e *Endpoint) connect(conn net.Conn) (*session, error) {
-	s, err := e.handshake(conn, true, e.transferDeadline(conn), SessionVersion)
-	if err != nil {
-		return nil, err
-	}
-	// The handshake ran under the transfer deadline; a pooled session
-	// must not inherit it into its idle lifetime.
-	_ = conn.SetDeadline(time.Time{})
-	return s, nil
-}
-
-// exchange runs one agent/ack exchange on an established session: the
-// agent is sanitized, serialized and framed directly (no intermediate
-// copy), and the receiver's verdict is awaited.
+// exchange runs one agent/ack exchange on an established session under
+// TransferTimeout: the agent is sanitized, encoded and framed, and the
+// receiver's verdict is awaited. The deadline is cleared on return so
+// the session can idle in the pool.
 func (e *Endpoint) exchange(s *session, a *agent.Agent) error {
+	if e.TransferTimeout > 0 {
+		_ = s.conn.SetDeadline(resource.CoarseTime().Add(e.TransferTimeout))
+		defer s.conn.SetDeadline(time.Time{})
+	}
 	a.SanitizeForTransfer()
 	data, err := a.Encode()
 	if err != nil {
 		return err
 	}
-	if err := s.writeMsg(agentMsg{
-		Sender:   e.Identity.Name,
-		Data:     data,
-		Manifest: a.Manifest,
-	}); err != nil {
+	if err := s.send(data); err != nil {
 		return err
 	}
-	var ack ackMsg
-	if err := s.readMsg(&ack, false, 0); err != nil {
+	frame, err := s.recv(false, 0)
+	if err != nil {
 		return err
 	}
-	if !ack.Accepted {
-		if ack.Shed {
-			// Reconstruct the typed shed error sender-side: it matches
-			// admission.ErrShed (transient to the retry classifier, NOT
-			// ErrRejected) and carries the receiver's retry-after hint.
-			return &admission.ShedError{
-				Cause:      ack.Reason,
-				RetryAfter: time.Duration(ack.RetryAfterMillis) * time.Millisecond,
-			}
+	k, err := parseAck(frame)
+	if err != nil {
+		return err
+	}
+	switch k.verdict {
+	case verdictShed:
+		// Reconstruct the typed shed error sender-side: it matches
+		// admission.ErrShed (transient to the retry classifier, NOT
+		// ErrRejected) and carries the receiver's retry-after hint.
+		return &admission.ShedError{
+			Cause:      k.reason,
+			RetryAfter: time.Duration(k.retryMillis) * time.Millisecond,
 		}
-		return fmt.Errorf("%w: %s", ErrRejected, ack.Reason)
+	case verdictReject:
+		return fmt.Errorf("%w: %s", ErrRejected, k.reason)
 	}
 	if e.OnAck != nil {
 		e.OnAck(a, s.peer, s.conn.RemoteAddr().String())
@@ -599,131 +540,70 @@ func (e *Endpoint) exchange(s *session, a *agent.Agent) error {
 	return nil
 }
 
-// sendOn runs one transfer on a (possibly reused) session under the
-// endpoint's per-exchange deadline; on success the deadline is cleared
-// so the session can idle in the pool.
-func (e *Endpoint) sendOn(s *session, a *agent.Agent) error {
-	if e.TransferTimeout > 0 {
-		_ = s.conn.SetDeadline(resource.CoarseTime().Add(e.TransferTimeout))
-	}
-	if err := e.exchange(s, a); err != nil {
-		return err
-	}
-	_ = s.conn.SetDeadline(time.Time{})
-	return nil
-}
-
-// SendAgent transfers an agent over conn and waits for the receiver's
-// accept/reject decision. The agent's state is sanitized (host handles
-// stripped) before serialization. This is the single-shot path — it
-// offers session version 0, exactly the pre-pooling wire protocol; the
-// Pool is the amortized path.
-func (e *Endpoint) SendAgent(conn net.Conn, a *agent.Agent) error {
-	s, err := e.handshake(conn, true, e.transferDeadline(conn), 0)
-	if err != nil {
-		return err
-	}
-	defer s.release()
-	return e.exchange(s, a)
-}
-
 // receiveOne accepts one agent exchange on an established session. The
-// returned agent is nil when the accept callback rejected it (the nack
-// has been sent; the session remains usable). fatal reports that the
-// session is no longer usable — an I/O error, a protocol violation, or
-// a peer that lied about its identity.
-func (e *Endpoint) receiveOne(s *session, idleWait bool, accept func(*agent.Agent, names.Name) error) (a *agent.Agent, fatal bool, err error) {
-	var msg agentMsg
-	if err := s.readMsg(&msg, idleWait, e.TransferTimeout); err != nil {
-		return nil, true, err
-	}
-	// The transport sender must be the authenticated peer: a server
-	// cannot forward agents while claiming another server sent them.
-	if msg.Sender != s.peer {
-		_ = s.sendAck(false, "sender identity mismatch")
-		return nil, true, fmt.Errorf("%w: message sender %s != channel peer %s", ErrAuth, msg.Sender, s.peer)
-	}
-	a, err = agent.Decode(msg.Data)
+// agent's sender is the session's authenticated peer, which is what
+// accept is told: a server cannot claim another server sent an agent.
+// The returned agent is nil when the accept callback rejected it (the
+// nack has been sent; the session remains usable). fatal reports that
+// the session is no longer usable — an I/O error or a frame that is not
+// an agent.
+func (e *Endpoint) receiveOne(s *session, accept func(*agent.Agent, names.Name) error) (a *agent.Agent, fatal bool, err error) {
+	frame, err := s.recv(true, e.TransferTimeout)
 	if err != nil {
-		_ = s.sendAck(false, "malformed agent")
 		return nil, true, err
 	}
-	// The envelope manifest and the agent's in-body manifest must be
-	// the same declaration: a sender advertising narrower needs in the
-	// envelope than the agent actually claims (or vice versa) is
-	// rejected before admission even looks at the code.
-	if !manifestsAgree(msg.Manifest, a.Manifest) {
-		_ = s.sendAck(false, "manifest envelope mismatch")
-		return nil, true, fmt.Errorf("%w: envelope manifest does not match agent manifest", ErrRejected)
+	a, err = agent.Decode(frame)
+	if err != nil {
+		_ = s.sendAck(ack{verdict: verdictReject, reason: "malformed agent"})
+		return nil, true, err
 	}
 	if accept != nil {
 		if err := accept(a, s.peer); err != nil {
-			// A load-shed travels as its own ack shape (not a plain
-			// nack): the sender reconstructs a transient ShedError with
-			// the retry-after hint instead of a permanent ErrRejected.
+			// A load-shed travels as its own verdict (not a plain
+			// reject): the sender reconstructs a transient ShedError
+			// with the retry-after hint instead of a permanent
+			// ErrRejected.
+			k := ack{verdict: verdictReject, reason: err.Error()}
 			var shed *admission.ShedError
 			if errors.As(err, &shed) {
-				if ackErr := s.writeMsg(ackMsg{
-					Reason:           shed.Cause,
-					Shed:             true,
-					RetryAfterMillis: shed.RetryAfter.Milliseconds(),
-				}); ackErr != nil {
-					return nil, true, ackErr
+				k = ack{verdict: verdictShed, reason: shed.Cause}
+				if ms := shed.RetryAfter.Milliseconds(); ms > 0 {
+					k.retryMillis = uint64(ms)
 				}
-				return nil, false, err
+			} else {
+				err = fmt.Errorf("%w: %v", ErrRejected, err)
 			}
-			if ackErr := s.sendAck(false, err.Error()); ackErr != nil {
+			if ackErr := s.sendAck(k); ackErr != nil {
 				return nil, true, ackErr
 			}
 			// An application-level rejection does not poison the
 			// channel: the next agent on this session may be welcome.
-			return nil, false, fmt.Errorf("%w: %v", ErrRejected, err)
+			return nil, false, err
 		}
 	}
-	if err := s.sendAck(true, ""); err != nil {
+	if err := s.sendAck(ack{verdict: verdictAccept}); err != nil {
 		return nil, true, err
 	}
 	return a, false, nil
-}
-
-// ReceiveAgent accepts one agent transfer on conn. The accept callback
-// inspects the decoded agent (credential verification, bundle
-// verification, admission control) and returns an error to reject it;
-// the rejection reason travels back to the sender. Like SendAgent this
-// is the single-shot path (session version 0); servers accept streams
-// with ServeConn.
-func (e *Endpoint) ReceiveAgent(conn net.Conn, accept func(*agent.Agent, names.Name) error) (*agent.Agent, error) {
-	s, err := e.handshake(conn, false, e.transferDeadline(conn), 0)
-	if err != nil {
-		return nil, err
-	}
-	defer s.release()
-	a, _, err := e.receiveOne(s, false, accept)
-	if err != nil {
-		return nil, err
-	}
-	return a, nil
 }
 
 // ServeConn accepts a stream of agent transfers on conn: one handshake,
 // then agent/ack exchanges until the peer closes the connection (or a
 // fatal protocol error). Each accepted agent is passed to handle before
 // the next exchange begins — handle should hand off quickly (the server
-// spawns a hosting goroutine). With a version-0 peer exactly one
-// exchange runs, preserving single-shot interop. The returned error is
-// nil for a cleanly closed session.
+// spawns a hosting goroutine). The returned error is nil for a cleanly
+// closed session.
 func (e *Endpoint) ServeConn(conn net.Conn, accept func(*agent.Agent, names.Name) error, handle func(*agent.Agent)) error {
-	s, err := e.handshake(conn, false, time.Time{}, SessionVersion)
+	s, err := e.handshake(conn, false, e.HandshakeTimeout)
 	if err != nil {
 		return err
 	}
 	defer s.release()
-	_ = conn.SetDeadline(time.Time{})
 	for {
-		a, fatal, err := e.receiveOne(s, true, accept)
+		a, fatal, err := e.receiveOne(s, accept)
 		switch {
 		case err == nil:
-			if a != nil && handle != nil {
+			if handle != nil {
 				handle(a)
 			}
 		case fatal:
@@ -732,24 +612,5 @@ func (e *Endpoint) ServeConn(conn net.Conn, accept func(*agent.Agent, names.Name
 			}
 			return err
 		}
-		if s.version < 1 {
-			return nil
-		}
 	}
-}
-
-// manifestsAgree reports whether the envelope and in-agent manifests
-// are the same declaration (both absent, or mutually covering).
-func manifestsAgree(env, carried *analysis.Manifest) bool {
-	if env == nil && carried == nil {
-		return true
-	}
-	if env == nil || carried == nil {
-		return false
-	}
-	return env.Covers(carried) && carried.Covers(env)
-}
-
-func (s *session) sendAck(ok bool, reason string) error {
-	return s.writeMsg(ackMsg{Accepted: ok, Reason: reason})
 }

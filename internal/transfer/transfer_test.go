@@ -1,7 +1,9 @@
 package transfer
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -77,7 +79,9 @@ func testAgent(t *testing.T, reg *keys.Registry) *agent.Agent {
 }
 
 // exchange runs one transfer over the simulated network and returns the
-// received agent (or error) and the sender-side error.
+// received agent (or error) and the sender-side error. The receiver runs
+// one round of ServeConn's loop by hand — handshake, then receiveOne —
+// so a rejection's receiver-side error is visible to the test.
 func (w *world) exchange(t *testing.T, a *agent.Agent, accept func(*agent.Agent, names.Name) error) (*agent.Agent, error, error) {
 	t.Helper()
 	l, err := w.net.Listen("b:7000")
@@ -99,16 +103,33 @@ func (w *world) exchange(t *testing.T, a *agent.Agent, accept func(*agent.Agent,
 			return
 		}
 		defer conn.Close()
-		got, recvErr = w.b.ReceiveAgent(conn, accept)
+		s, err := w.b.handshake(conn, false, w.b.HandshakeTimeout)
+		if err != nil {
+			recvErr = err
+			return
+		}
+		defer s.release()
+		got, _, recvErr = w.b.receiveOne(s, accept)
 	}()
 	conn, err := w.net.Dial("b:7000")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sendErr := w.a.SendAgent(conn, a)
+	sendErr := w.a.deliver(conn, a)
 	conn.Close()
 	wg.Wait()
 	return got, recvErr, sendErr
+}
+
+// deliver runs the sender's half of one transfer on conn: connect, then
+// one exchange.
+func (e *Endpoint) deliver(conn net.Conn, a *agent.Agent) error {
+	s, err := e.connect(conn)
+	if err != nil {
+		return err
+	}
+	defer s.release()
+	return e.exchange(s, a)
 }
 
 func TestTransferRoundTrip(t *testing.T) {
@@ -218,13 +239,13 @@ func TestShedKeepsSessionUsable(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		s, err := w.b.handshake(conn, false, time.Time{}, 0)
+		s, err := w.b.handshake(conn, false, 0)
 		if err != nil {
 			recvDone <- err
 			return
 		}
 		for i := 0; i < 2; i++ {
-			_, fatal, err := w.b.receiveOne(s, false, accept)
+			_, fatal, err := w.b.receiveOne(s, accept)
 			if err != nil && fatal {
 				recvDone <- err
 				return
@@ -237,17 +258,17 @@ func TestShedKeepsSessionUsable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := w.a.handshake(conn, true, time.Time{}, 0)
+	s, err := w.a.connect(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.a.sendOn(s, a); !errors.Is(err, admission.ErrShed) {
+	if err := w.a.exchange(s, a); !errors.Is(err, admission.ErrShed) {
 		t.Fatalf("first transfer: %v, want ErrShed", err)
 	}
 	if err := <-recvDone; !errors.Is(err, admission.ErrShed) {
 		t.Fatalf("receiver first: %v, want ErrShed", err)
 	}
-	if err := w.a.sendOn(s, a); err != nil {
+	if err := w.a.exchange(s, a); err != nil {
 		t.Fatalf("second transfer on same session: %v", err)
 	}
 	if err := <-recvDone; err != nil {
@@ -382,6 +403,7 @@ func TestC7_ReplayRejected(t *testing.T) {
 	defer l.Close()
 
 	recvDone := make(chan error, 1)
+	hosted := make(chan *agent.Agent, 2)
 	go func() {
 		conn, err := l.Accept()
 		if err != nil {
@@ -389,40 +411,31 @@ func TestC7_ReplayRejected(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		// Receive the real agent, then try to read ANOTHER message
-		// from the same session (the replayed frame).
-		s, err := w.b.handshake(conn, false, time.Time{}, 0)
-		if err != nil {
-			recvDone <- err
-			return
-		}
-		if _, err := s.recv(); err != nil { // legitimate frame
-			recvDone <- err
-			return
-		}
-		_ = s.sendAck(true, "")
-		_, err = s.recv() // replayed frame must fail here
-		recvDone <- err
+		// Receive the real agent, then try to read ANOTHER agent from
+		// the same session (the replayed frame).
+		recvDone <- w.b.ServeConn(conn, nil, func(a *agent.Agent) { hosted <- a })
 	}()
 
 	conn, err := w.net.Dial("b:7000")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := w.a.handshake(conn, true, time.Time{}, 0)
+	defer conn.Close()
+	s, err := w.a.connect(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.SanitizeForTransfer()
-	data, _ := a.Encode()
-	if err := s.send(data); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.recv(); err != nil { // ack
+	if err := w.a.exchange(s, a); err != nil { // legitimate frame + ack
 		t.Fatal(err)
 	}
 	// Replay: re-send the identical sealed bytes by rewinding the
-	// counter, as a wire-level adversary would.
+	// counter, as a wire-level adversary would. The exchange sanitized
+	// the agent and the codec is canonical, so Encode reproduces the
+	// frame's plaintext exactly.
+	data, err := a.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
 	s.sendCtr = 0
 	if err := s.send(data); err != nil {
 		t.Fatal(err)
@@ -430,6 +443,9 @@ func TestC7_ReplayRejected(t *testing.T) {
 	err = <-recvDone
 	if !errors.Is(err, ErrIntegrity) {
 		t.Fatalf("replayed frame accepted: %v", err)
+	}
+	if n := len(hosted); n != 1 {
+		t.Fatalf("receiver hosted %d agents, want 1 (the replay must not be hosted)", n)
 	}
 }
 
@@ -466,17 +482,16 @@ func TestTransferOverRealTCP(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		_, err = w.b.ReceiveAgent(conn, nil)
-		recvDone <- err
+		recvDone <- w.b.ServeConn(conn, nil, nil)
 	}()
 	conn, err := net.Dial("tcp", l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	if err := w.a.SendAgent(conn, a); err != nil {
+	if err := w.a.deliver(conn, a); err != nil {
 		t.Fatal(err)
 	}
+	conn.Close()
 	if err := <-recvDone; err != nil {
 		t.Fatal(err)
 	}
@@ -496,4 +511,124 @@ func containsSub(haystack, needle []byte) bool {
 		}
 	}
 	return false
+}
+
+func TestMalformedAgentFrameEndsSession(t *testing.T) {
+	// An agent frame's plaintext must be exactly one agent encoding.
+	// Anything else is nacked "malformed agent" and ends the session;
+	// and accept is always told the handshake's peer, whatever the
+	// frames carry.
+	w := newWorld(t)
+	a := testAgent(t, w.reg)
+	a.SanitizeForTransfer()
+	valid, err := a.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tc := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"garbage", []byte("not an agent")},
+		{"trailing bytes", append(append([]byte(nil), valid...), 0)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr := fmt.Sprintf("b:%d", 7100+i)
+			l, err := w.net.Listen(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			peers := make(chan names.Name, 4)
+			accept := func(_ *agent.Agent, peer names.Name) error {
+				peers <- peer
+				return nil
+			}
+			served := make(chan error, 1)
+			go func() {
+				conn, err := l.Accept()
+				if err != nil {
+					served <- err
+					return
+				}
+				defer conn.Close()
+				served <- w.b.ServeConn(conn, accept, nil)
+			}()
+			conn, err := w.net.Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			s, err := w.a.connect(conn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.release()
+			if err := w.a.exchange(s, a); err != nil {
+				t.Fatalf("well-formed agent: %v", err)
+			}
+			if err := s.send(tc.frame); err != nil {
+				t.Fatal(err)
+			}
+			frame, err := s.recv(false, 0)
+			if err != nil {
+				t.Fatalf("no ack for the malformed frame: %v", err)
+			}
+			k, err := parseAck(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if k.verdict != verdictReject || k.reason != "malformed agent" {
+				t.Fatalf("ack = %+v, want reject \"malformed agent\"", k)
+			}
+			if err := <-served; !errors.Is(err, agent.ErrMalformed) {
+				t.Fatalf("ServeConn = %v, want agent.ErrMalformed", err)
+			}
+			if _, err := s.recv(false, 0); err == nil {
+				t.Fatal("session outlived a malformed agent frame")
+			}
+			close(peers)
+			var got []names.Name
+			for p := range peers {
+				got = append(got, p)
+			}
+			if len(got) != 1 || got[0] != w.a.Identity.Name {
+				t.Fatalf("accept saw peers %v, want exactly [%s]", got, w.a.Identity.Name)
+			}
+		})
+	}
+}
+
+func TestAckEncoding(t *testing.T) {
+	for _, k := range []ack{
+		{verdict: verdictAccept},
+		{verdict: verdictReject},
+		{verdict: verdictReject, reason: "no capacity"},
+		{verdict: verdictShed},
+		{verdict: verdictShed, retryMillis: 127, reason: "rate"},
+		{verdict: verdictShed, retryMillis: 128, reason: "concurrency"},
+		{verdict: verdictShed, retryMillis: maxRetryAfterMillis},
+	} {
+		b := appendAck(nil, k)
+		got, err := parseAck(b)
+		if err != nil || got != k {
+			t.Fatalf("ack %+v: encoded %x, parsed %+v, %v", k, b, got, err)
+		}
+	}
+	over := binary.AppendUvarint([]byte{verdictShed}, maxRetryAfterMillis+1)
+	for _, b := range [][]byte{
+		nil,
+		{0},
+		{4},
+		{verdictAccept, 0},
+		{verdictShed},
+		{verdictShed, 0x80},
+		{verdictShed, 0x80, 0x00},
+		{verdictShed, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+		over,
+	} {
+		if k, err := parseAck(b); !errors.Is(err, errMalformedAck) {
+			t.Fatalf("ack %x parsed to %+v, %v; want errMalformedAck", b, k, err)
+		}
+	}
 }

@@ -38,6 +38,9 @@ func InstallBuiltins(env *Env) {
 		if len(args) != 1 {
 			return Nil(), fmt.Errorf("%w: str wants 1 arg", ErrTrap)
 		}
+		if err := args[0].CheckDepth(); err != nil {
+			return Nil(), fmt.Errorf("%w: str: %w", ErrTrap, err)
+		}
 		return S(args[0].Text()), nil
 	}
 	env.Host["contains"] = func(args []Value) (Value, error) {
@@ -46,6 +49,9 @@ func InstallBuiltins(env *Env) {
 		}
 		switch a := args[0]; a.Kind {
 		case KindList:
+			if a.CheckDepth() != nil || args[1].CheckDepth() != nil {
+				return Nil(), fmt.Errorf("%w: contains: %w", ErrTrap, ErrValueTooDeep)
+			}
 			for _, e := range a.List {
 				if e.Equal(args[1]) {
 					return B(true), nil
@@ -79,6 +85,9 @@ func InstallBuiltins(env *Env) {
 	env.Host["join"] = func(args []Value) (Value, error) {
 		if len(args) != 2 || args[0].Kind != KindList || args[1].Kind != KindStr {
 			return Nil(), fmt.Errorf("%w: join wants (list, sep)", ErrTrap)
+		}
+		if err := args[0].CheckDepth(); err != nil {
+			return Nil(), fmt.Errorf("%w: join: %w", ErrTrap, err)
 		}
 		parts := make([]string, len(args[0].List))
 		for i, e := range args[0].List {

@@ -37,6 +37,15 @@ func trap(m *Module, f *Func, pc int, format string, args ...any) error {
 	return fmt.Errorf("%w: %s.%s@%d: %s", ErrTrap, m.Name, f.Name, pc, fmt.Sprintf(format, args...))
 }
 
+// depthTrap is the trap for comparing a value nested past
+// MaxValueDepth; nil when both operands are within it.
+func depthTrap(m *Module, f *Func, pc int, a, b Value) error {
+	if a.CheckDepth() == nil && b.CheckDepth() == nil {
+		return nil
+	}
+	return fmt.Errorf("%w: %s.%s@%d: %w", ErrTrap, m.Name, f.Name, pc, ErrValueTooDeep)
+}
+
 // Meter charges executed instructions against a budget. It is shared by
 // every frame of an execution (and may be shared across an agent's whole
 // visit). Thread-safe so a server can inspect usage concurrently and
@@ -575,14 +584,15 @@ loop:
 				break loop
 			}
 			stk[sp-1] = I(-a.Int)
-		case OpEq:
+		case OpEq, OpNe:
 			b, a := stk[sp-1], stk[sp-2]
+			if a.nested() || b.nested() {
+				if rerr = depthTrap(curM, curF, ip-1, a, b); rerr != nil {
+					break loop
+				}
+			}
 			sp--
-			stk[sp-1] = B(a.Equal(b))
-		case OpNe:
-			b, a := stk[sp-1], stk[sp-2]
-			sp--
-			stk[sp-1] = B(!a.Equal(b))
+			stk[sp-1] = B(a.Equal(b) == (ins.Op == OpEq))
 		case OpLt, OpLe, OpGt, OpGe:
 			b, a := stk[sp-1], stk[sp-2]
 			sp--
@@ -874,15 +884,16 @@ loop:
 		case OpEqJF, OpNeJF:
 			b, a := stk[sp-1], stk[sp-2]
 			sp -= 2
-			cond := a.Equal(b)
-			if ins.Op == OpNeJF {
-				cond = !cond
+			if a.nested() || b.nested() {
+				if rerr = depthTrap(curM, curF, ip-1, a, b); rerr != nil {
+					break loop
+				}
 			}
+			cond := a.Equal(b) == (ins.Op == OpEqJF)
 			// The branch half is charged separately *after* the compare
-			// executed: on a compare trap the naive interpreter never
-			// reaches the jz charge, and fuel parity must hold on trap
-			// paths too. (Eq/Ne cannot trap, but the charging protocol
-			// is uniform across the cmp_jz family.)
+			// executed: on a compare trap (here, an operand nested past
+			// MaxValueDepth) the naive interpreter never reaches the jz
+			// charge, and fuel parity must hold on trap paths too.
 			if fuel >= 1 {
 				fuel--
 			} else {

@@ -103,9 +103,58 @@ func (v Value) Truthy() bool {
 	}
 }
 
-// Equal is deep structural equality.
-func (v Value) Equal(o Value) bool {
-	if v.Kind != o.Kind {
+// MaxValueDepth caps Value nesting for every recursive walk of a
+// value: a top-level value is depth 1, each list or map level adds one.
+// Set-index can make a list contain itself, so no walk may assume a
+// value ends. The operations an agent reaches (==, !=, str, join,
+// contains, and the host's report, log and mailbox send) fail with
+// ErrValueTooDeep past this depth, and the agent codec refuses to
+// encode such a value.
+const MaxValueDepth = 64
+
+// ErrValueTooDeep reports a value nested deeper than MaxValueDepth.
+var ErrValueTooDeep = fmt.Errorf("vm: value nesting exceeds %d", MaxValueDepth)
+
+// CheckDepth returns ErrValueTooDeep if v nests deeper than
+// MaxValueDepth. It stops at the first path past the cap.
+func (v Value) CheckDepth() error {
+	if !v.within(1) {
+		return ErrValueTooDeep
+	}
+	return nil
+}
+
+func (v Value) within(depth int) bool {
+	if depth > MaxValueDepth {
+		return false
+	}
+	switch v.Kind {
+	case KindList:
+		for _, e := range v.List {
+			if !e.within(depth + 1) {
+				return false
+			}
+		}
+	case KindMap:
+		for _, e := range v.Map {
+			if !e.within(depth + 1) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// nested reports whether v is a list or a map: the kinds whose walks
+// must check depth first.
+func (v Value) nested() bool { return v.Kind == KindList || v.Kind == KindMap }
+
+// Equal is deep structural equality. Values nested past MaxValueDepth
+// compare unequal; CheckDepth tells that case apart.
+func (v Value) Equal(o Value) bool { return v.equal(o, 1) }
+
+func (v Value) equal(o Value, depth int) bool {
+	if v.Kind != o.Kind || depth > MaxValueDepth {
 		return false
 	}
 	switch v.Kind {
@@ -124,7 +173,7 @@ func (v Value) Equal(o Value) bool {
 			return false
 		}
 		for i := range v.List {
-			if !v.List[i].Equal(o.List[i]) {
+			if !v.List[i].equal(o.List[i], depth+1) {
 				return false
 			}
 		}
@@ -135,7 +184,7 @@ func (v Value) Equal(o Value) bool {
 		}
 		for k, a := range v.Map {
 			b, ok := o.Map[k]
-			if !ok || !a.Equal(b) {
+			if !ok || !a.equal(b, depth+1) {
 				return false
 			}
 		}
@@ -144,8 +193,14 @@ func (v Value) Equal(o Value) bool {
 	return false
 }
 
-// String renders the value in source-like syntax.
-func (v Value) String() string {
+// String renders the value in source-like syntax. Nesting past
+// MaxValueDepth renders as "...".
+func (v Value) String() string { return v.render(1) }
+
+func (v Value) render(depth int) string {
+	if depth > MaxValueDepth {
+		return "..."
+	}
 	switch v.Kind {
 	case KindNil:
 		return "nil"
@@ -160,7 +215,7 @@ func (v Value) String() string {
 	case KindList:
 		parts := make([]string, len(v.List))
 		for i, e := range v.List {
-			parts[i] = e.String()
+			parts[i] = e.render(depth + 1)
 		}
 		return "[" + strings.Join(parts, ", ") + "]"
 	case KindMap:
@@ -171,7 +226,7 @@ func (v Value) String() string {
 		sort.Strings(keys)
 		parts := make([]string, len(keys))
 		for i, k := range keys {
-			parts[i] = strconv.Quote(k) + ": " + v.Map[k].String()
+			parts[i] = strconv.Quote(k) + ": " + v.Map[k].render(depth+1)
 		}
 		return "{" + strings.Join(parts, ", ") + "}"
 	default:
@@ -189,19 +244,25 @@ func (v Value) Text() string {
 }
 
 // Clone makes a deep copy, used when state must not be shared across
-// protection domains.
-func (v Value) Clone() Value {
+// protection domains. Nesting past MaxValueDepth is cut to nil (never
+// shared); callers that must not lose data check CheckDepth first.
+func (v Value) Clone() Value { return v.clone(1) }
+
+func (v Value) clone(depth int) Value {
+	if depth > MaxValueDepth {
+		return Nil()
+	}
 	switch v.Kind {
 	case KindList:
 		cp := make([]Value, len(v.List))
 		for i, e := range v.List {
-			cp[i] = e.Clone()
+			cp[i] = e.clone(depth + 1)
 		}
 		return Value{Kind: KindList, List: cp}
 	case KindMap:
 		cp := make(map[string]Value, len(v.Map))
 		for k, e := range v.Map {
-			cp[k] = e.Clone()
+			cp[k] = e.clone(depth + 1)
 		}
 		return Value{Kind: KindMap, Map: cp}
 	default:
