@@ -8,7 +8,7 @@
 GATE_BENCH := BenchmarkC1_|BenchmarkC4_|BenchmarkC7_|BenchmarkC8_|BenchmarkC14_|BenchmarkC15_
 BENCH_FLAGS := -run '^$$' -benchtime 0.5s -count 3
 
-.PHONY: test race lint bench-gate-run bench-baseline bench-gate load load-smoke slo-gate
+.PHONY: test race lint bench-gate-run bench-baseline bench-gate bench-compare load load-smoke slo-gate
 
 test:
 	go build ./... && go test ./...
@@ -53,6 +53,28 @@ bench-baseline:
 # comparison, run `make bench-baseline` on the parent commit first.
 bench-gate: bench-gate-run
 	go run ./cmd/benchgate -old bench/baseline.txt -new bench_new.txt
+
+# bench-compare compares the working tree with another revision on this
+# machine, which stays meaningful when bench/baseline.txt was recorded on
+# another machine class: BASE is checked out with `git worktree` into a
+# temporary directory, the GATE_BENCH set runs alternately on BASE and
+# on the working tree (BENCH_ROUNDS rounds, the same BENCH_FLAGS), and
+# cmd/benchgate compares bench_base.txt with bench_new.txt at its
+# default threshold. Example: make bench-compare BASE=HEAD~1
+BENCH_ROUNDS := 3
+bench-compare:
+	@if [ -z "$(BASE)" ]; then echo "usage: make bench-compare BASE=<rev>" >&2; exit 2; fi
+	@set -e; tmp=$$(mktemp -d); \
+	trap 'git worktree remove --force "$$tmp/base" >/dev/null 2>&1 || true; rm -rf "$$tmp"' EXIT; \
+	git worktree add --detach "$$tmp/base" '$(BASE)' >/dev/null; \
+	: > bench_base.txt; : > bench_new.txt; \
+	for i in $$(seq $(BENCH_ROUNDS)); do \
+		echo "round $$i/$(BENCH_ROUNDS): $(BASE)"; \
+		(cd "$$tmp/base" && go test $(BENCH_FLAGS) -bench '$(GATE_BENCH)' .) >> bench_base.txt; \
+		echo "round $$i/$(BENCH_ROUNDS): working tree"; \
+		go test $(BENCH_FLAGS) -bench '$(GATE_BENCH)' . >> bench_new.txt; \
+	done; \
+	go run ./cmd/benchgate -old bench_base.txt -new bench_new.txt
 
 # load runs the full cluster load scenario suite (C16): in-process
 # multi-server clusters, seeded open-loop agent load, scripted faults.

@@ -105,7 +105,9 @@ type (
 	Right = cred.Right
 	// ResourceDef is a concrete protected resource.
 	ResourceDef = resource.Def
-	// ResourceMethod is one callable resource operation.
+	// ResourceMethod is one callable resource operation. Its args
+	// slice is borrowed from the invoking agent's VM stack: a method
+	// may keep the Values but never the slice.
 	ResourceMethod = resource.Method
 	// Proxy is the per-agent protected interface to a resource.
 	Proxy = resource.Proxy

@@ -174,6 +174,18 @@ func (ns *Namespace) Module(name string) (*vm.Module, error) {
 	return nil, fmt.Errorf("%w: %q", ErrUnknownModule, name)
 }
 
+// PrivateModule resolves a module name as Module does but returns a new
+// execution copy that shares no inline caches with the namespace's own,
+// for code that runs on other goroutines than the agent's visit (an
+// installed resource).
+func (ns *Namespace) PrivateModule(name string) (*vm.Module, error) {
+	m, err := ns.Module(name)
+	if err != nil {
+		return nil, err
+	}
+	return vm.Prepare(m), nil
+}
+
 // ResolveFunc implements vm.Resolver for "module:function" names; a
 // bare function name is searched across the agent's own modules only
 // (trusted code is always addressed explicitly, so an agent cannot be

@@ -69,7 +69,10 @@ func (r *ResourceImpl) Description() string { return r.Desc }
 
 // Method is one callable operation of a resource. Arguments and results
 // use VM values so resources are uniformly invocable from agent code;
-// Go-native callers use the same signature.
+// Go-native callers use the same signature. An agent's invoke passes
+// args on from its host call, so args is borrowed under the
+// vm.HostFunc contract: a method may keep the Values but never the
+// slice.
 type Method func(args []vm.Value) (vm.Value, error)
 
 // Request carries the context GetProxy needs: the requesting agent's

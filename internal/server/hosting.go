@@ -169,25 +169,7 @@ func (s *Server) host(a *agent.Agent) {
 	if ticket != nil && ticket.Fuel > 0 && ticket.Fuel < fuel {
 		fuel = ticket.Fuel
 	}
-	v := &visit{
-		agent:   a,
-		dom:     dom,
-		ns:      ns,
-		meter:   vm.NewMeter(fuel),
-		credKey: a.Credentials.Digest(),
-		handles: make(map[uint64]*boundResource),
-		usage:   make(map[string]*visitUsage),
-	}
-	v.env = &vm.Env{
-		Globals:   a.State,
-		Host:      make(map[string]vm.HostFunc),
-		Resolver:  ns,
-		Meter:     v.meter,
-		MaxFrames: vm.DefaultMaxFrames,
-		Owner:     dom,
-	}
-	vm.InstallBuiltins(v.env)
-	s.installHostAPI(v)
+	v := s.newVisit(a, dom, ns, fuel)
 
 	s.visitMu.Lock()
 	s.visits[a.Name] = v
@@ -298,6 +280,32 @@ func (s *Server) host(a *agent.Agent) {
 	}
 	finish(domain.StatusTerminated)
 	s.deliver(a)
+}
+
+// newVisit builds the state of one visit: the agent's protection domain
+// and namespace, a fuel meter, and a VM environment over the agent's
+// globals with the builtins and the server's host API installed.
+func (s *Server) newVisit(a *agent.Agent, dom domain.ID, ns *loader.Namespace, fuel uint64) *visit {
+	v := &visit{
+		agent:   a,
+		dom:     dom,
+		ns:      ns,
+		meter:   vm.NewMeter(fuel),
+		credKey: a.Credentials.Digest(),
+		handles: make(map[uint64]*boundResource),
+		usage:   make(map[string]*visitUsage),
+	}
+	v.env = &vm.Env{
+		Globals:   a.State,
+		Host:      make(map[string]vm.HostFunc),
+		Resolver:  ns,
+		Meter:     v.meter,
+		MaxFrames: vm.DefaultMaxFrames,
+		Owner:     dom,
+	}
+	vm.InstallBuiltins(v.env)
+	s.installHostAPI(v)
+	return v
 }
 
 // failHome abandons the agent's remaining itinerary and sends it home

@@ -327,7 +327,7 @@ func TestVMResourceRunawayMetered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := "module spin\nfunc loop() { while true { } }"
+	svc := "module spin\nvar calls = 0\nfunc tick() { calls = calls + 1 return calls }\nfunc loop() { calls = calls + 1 while true { } }"
 	a := f.agent(t, "inst", "module app\nfunc main() { return 1 }", agent.Itinerary{}, "")
 	mod, err := asl.Compile(svc)
 	if err != nil {
@@ -345,6 +345,10 @@ func TestVMResourceRunawayMetered(t *testing.T) {
 	}
 	if _, err := def.Methods["loop"](nil); !errors.Is(err, vm.ErrFuelExhausted) {
 		t.Fatalf("runaway installed method not stopped: %v", err)
+	}
+	// The budget is per call: the next call runs on a fresh one.
+	if out, err := def.Methods["tick"](nil); err != nil || !out.Equal(vm.I(2)) {
+		t.Fatalf("call after a runaway = %v, %v", out, err)
 	}
 }
 

@@ -26,14 +26,18 @@ const vmResourceFuel = 1_000_000
 // private VM environment with only the pure builtins — no server API,
 // no network, no registry — and its state is a fresh global table
 // initialized by the module's __init__, independent of the installing
-// agent's state.
+// agent's state. The environment is built once, at install time.
 func (s *Server) newVMResource(v *visit, rn names.Name, modName, path string) (*resource.Def, error) {
 	// The module must come from the agent's own bundle; trusted
 	// modules are the server's and cannot be re-registered by agents.
+	// The resource runs a private execution copy: inline caches live in
+	// the module, and the namespace's copy keeps running on other
+	// goroutines (the installing visit, other resources installed from
+	// the same module).
 	var mod *vm.Module
 	for _, own := range v.ns.OwnModules() {
 		if own == modName {
-			m, err := v.ns.Module(modName)
+			m, err := v.ns.PrivateModule(modName)
 			if err != nil {
 				return nil, err
 			}
@@ -44,13 +48,14 @@ func (s *Server) newVMResource(v *visit, rn names.Name, modName, path string) (*
 		return nil, fmt.Errorf("%w: module %q not in agent bundle", ErrBadArg, modName)
 	}
 
-	state := make(map[string]vm.Value)
+	// One private environment serves every method call: mu serializes
+	// the calls, so its globals, builtins, inline caches and stack
+	// arena are reused; only the fuel budget is fresh per call.
+	env := vm.NewEnv()
+	env.Resolver = vm.ModuleResolver{M: mod}
+	vm.InstallBuiltins(env)
 	runIn := func(fn string, args []vm.Value) (vm.Value, error) {
-		env := vm.NewEnv()
-		env.Globals = state
 		env.Meter = vm.NewMeter(vmResourceFuel)
-		env.Resolver = vm.ModuleResolver{M: mod}
-		vm.InstallBuiltins(env)
 		return vm.Run(env, mod, fn, args...)
 	}
 

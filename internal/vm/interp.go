@@ -184,6 +184,14 @@ func (mt *Meter) Limit() uint64 {
 // HostFunc is a host-provided primitive. Host functions are the *only*
 // way agent code affects anything outside its own state; servers install
 // them already wrapped in security-manager checks.
+//
+// args is borrowed: it is a window onto the caller's value stack, valid
+// only until the host function returns, and the interpreter reuses those
+// slots right after. A host function may keep the Values it receives
+// (copy them out, store them, return them) but must never keep the slice
+// itself or a subslice of it, nor return a list that aliases it. The
+// window's capacity ends at its length, so an append to args reallocates
+// instead of writing over the stack.
 type HostFunc func(args []Value) (Value, error)
 
 // Resolver resolves cross-module calls ("module:function" or a bare
@@ -733,10 +741,8 @@ loop:
 				break loop
 			}
 			argc := int(ins.B)
-			hargs := make([]Value, argc)
-			copy(hargs, stk[sp-argc:sp])
+			v, err := hf(stk[sp-argc : sp : sp])
 			sp -= argc
-			v, err := hf(hargs)
 			if err != nil {
 				// Host errors abort execution and surface to the
 				// server (which distinguishes migration requests,
