@@ -58,20 +58,19 @@ bench-gate: bench-gate-run
 # machine, which stays meaningful when bench/baseline.txt was recorded on
 # another machine class: BASE is checked out with `git worktree` into a
 # temporary directory, the GATE_BENCH set runs alternately on BASE and
-# on the working tree (BENCH_ROUNDS rounds, the same BENCH_FLAGS), and
+# on the working tree (three rounds, the same BENCH_FLAGS), and
 # cmd/benchgate compares bench_base.txt with bench_new.txt at its
 # default threshold. Example: make bench-compare BASE=HEAD~1
-BENCH_ROUNDS := 3
 bench-compare:
 	@if [ -z "$(BASE)" ]; then echo "usage: make bench-compare BASE=<rev>" >&2; exit 2; fi
 	@set -e; tmp=$$(mktemp -d); \
 	trap 'git worktree remove --force "$$tmp/base" >/dev/null 2>&1 || true; rm -rf "$$tmp"' EXIT; \
 	git worktree add --detach "$$tmp/base" '$(BASE)' >/dev/null; \
 	: > bench_base.txt; : > bench_new.txt; \
-	for i in $$(seq $(BENCH_ROUNDS)); do \
-		echo "round $$i/$(BENCH_ROUNDS): $(BASE)"; \
+	for i in 1 2 3; do \
+		echo "round $$i/3: $(BASE)"; \
 		(cd "$$tmp/base" && go test $(BENCH_FLAGS) -bench '$(GATE_BENCH)' .) >> bench_base.txt; \
-		echo "round $$i/$(BENCH_ROUNDS): working tree"; \
+		echo "round $$i/3: working tree"; \
 		go test $(BENCH_FLAGS) -bench '$(GATE_BENCH)' . >> bench_new.txt; \
 	done; \
 	go run ./cmd/benchgate -old bench_base.txt -new bench_new.txt

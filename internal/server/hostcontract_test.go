@@ -197,23 +197,44 @@ func TestHostFuncsKeepNoArgumentWindow(t *testing.T) {
 	}
 }
 
-// TestHostWindowPoisonCatchesRetention shows the contract test can fail:
-// a report that keeps the borrowed slice and reads it only later finds
-// the slot reused instead of what the agent reported.
-func TestHostWindowPoisonCatchesRetention(t *testing.T) {
-	want := contractVisit(t, nil)
-	var kept [][]vm.Value
-	got := contractVisit(t, func(v *visit) {
-		v.env.Host["report"] = func(args []vm.Value) (vm.Value, error) {
-			kept = append(kept, args) // violates the contract
-			return vm.Nil(), nil
+// listReport is report written to record each call's arguments as one
+// list. With keepWindow it builds that list on the borrowed slice
+// itself, vm.L(args...), which keeps the slice past the call and breaks
+// the contract; without, it copies the Values first.
+func listReport(a *agent.Agent, keepWindow bool) vm.HostFunc {
+	return func(args []vm.Value) (vm.Value, error) {
+		if !keepWindow {
+			args = append([]vm.Value(nil), args...)
 		}
+		a.Results = append(a.Results, vm.L(args...))
+		return vm.Nil(), nil
+	}
+}
+
+// TestHostWindowPoisonCatchesRetention shows the contract test can fail:
+// two poisoned visits whose report differs only in keeping the borrowed
+// slice must not agree.
+func TestHostWindowPoisonCatchesRetention(t *testing.T) {
+	plain := contractVisit(t, nil)
+	want := contractVisit(t, func(v *visit) {
+		v.env.Host["report"] = listReport(v.agent, false)
 		poisonHostWindows(v.env)
 	})
-	for _, args := range kept {
-		got.Results = append(got.Results, args[0])
+	// The copying report records what the standard one does, one list
+	// per call, so the comparison below is against the real journey.
+	if len(want.Results) != len(plain.Results) {
+		t.Fatalf("copying report: %d results, want %d", len(want.Results), len(plain.Results))
 	}
+	for i, r := range want.Results {
+		if len(r.List) != 1 || !r.List[0].Equal(plain.Results[i]) {
+			t.Fatalf("copying report result %d = %v, want [%v]", i, r, plain.Results[i])
+		}
+	}
+	got := contractVisit(t, func(v *visit) {
+		v.env.Host["report"] = listReport(v.agent, true) // violates the contract
+		poisonHostWindows(v.env)
+	})
 	if journeyDiff(want, got) == "" {
-		t.Fatal("a retaining host function went unnoticed")
+		t.Fatal("a report that keeps its argument window went unnoticed")
 	}
 }
