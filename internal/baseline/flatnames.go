@@ -43,6 +43,16 @@ func (s *FlatNameService) BindReplica(n names.Name, loc names.Location) error {
 	return s.Bind(n, loc)
 }
 
+// UnbindReplica removes the binding when it points at address: the
+// flat design holds one location per name.
+func (s *FlatNameService) UnbindReplica(n names.Name, address string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.bindings[n].Address == address {
+		delete(s.bindings, n)
+	}
+}
+
 // Unbind removes a binding; unbinding an absent name is a no-op.
 func (s *FlatNameService) Unbind(n names.Name) {
 	s.mu.Lock()

@@ -14,7 +14,7 @@ import (
 // stops another agent of the same owner via the §4 control primitives.
 func TestAgentMonitorsAndKillsSibling(t *testing.T) {
 	p := mustPlatform(t)
-	srv, err := p.StartServer("s1", "s1:7000", ServerConfig{Fuel: 0}) // unlimited
+	srv, err := p.StartServer("s1", "s1:7000", ServerConfig{Fuel: 1 << 40}) // never runs out before the kill
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -489,7 +489,7 @@ func main() {
 // control interface; foreign principals cannot.
 func TestKillAgent(t *testing.T) {
 	p := mustPlatform(t)
-	srv, err := p.StartServer("s1", "s1:7000", ServerConfig{Fuel: 0}) // unlimited
+	srv, err := p.StartServer("s1", "s1:7000", ServerConfig{Fuel: 1 << 40}) // never runs out before the kill
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,6 +98,17 @@ func (f *Federation) BindReplica(n Name, loc Location) error {
 	return svc.BindReplica(n, loc)
 }
 
+// UnbindReplica routes to the name's authority and withdraws one
+// location there; like Unbind, a name under an unregistered authority
+// is a no-op.
+func (f *Federation) UnbindReplica(n Name, address string) {
+	svc, err := f.route(n)
+	if err != nil {
+		return
+	}
+	svc.UnbindReplica(n, address)
+}
+
 // Unbind routes to the name's authority; unbinding a name under an
 // unregistered authority is a no-op, matching Unbind's idempotence.
 func (f *Federation) Unbind(n Name) {

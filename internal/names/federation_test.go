@@ -43,6 +43,11 @@ func TestFederationRouting(t *testing.T) {
 	if b, _ := f.Resolve(na); len(b.Locations) != 2 {
 		t.Fatalf("replica not routed: %+v", b)
 	}
+	f.UnbindReplica(na, "a:2")
+	if b, _ := acme.Resolve(na); len(b.Locations) != 1 || b.Primary().Address != "a:1" {
+		t.Fatalf("replica withdrawal not routed: %+v", b)
+	}
+	f.UnbindReplica(Agent("nowhere.net", "x"), "a:1")
 
 	// Unbind routes; unbinding under an unknown authority is a no-op.
 	f.Unbind(na)

@@ -38,7 +38,7 @@ type Binding struct {
 	// not modify it.
 	Locations []Location
 	// Epoch strictly increases with every mutation of this name's
-	// binding (Bind, BindReplica, Unbind), including across an unbind
+	// binding (Bind, BindReplica, UnbindReplica, Unbind), including across an unbind
 	// and a later rebind. It is taken from the owning shard's
 	// generation, so successive epochs of one name may step by more
 	// than 1. A cached binding with an older epoch is stale even if its
@@ -65,6 +65,7 @@ func (b Binding) Primary() Location {
 type Directory interface {
 	Bind(n Name, loc Location) error
 	BindReplica(n Name, loc Location) error
+	UnbindReplica(n Name, address string)
 	Unbind(n Name)
 	Resolve(n Name) (Binding, error)
 }
@@ -153,6 +154,36 @@ func (s *Service) BindReplica(n Name, loc Location) error {
 	}
 	sh.publish(t)
 	return nil
+}
+
+// UnbindReplica withdraws the location at address from n's binding,
+// leaving every other server's location in place; the name is unbound
+// once its last location goes. Withdrawing an absent name or address is
+// a no-op; otherwise the epoch advances.
+func (s *Service) UnbindReplica(n Name, address string) {
+	sh := s.shards.shard(n)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	prev, ok := sh.snap.Load().m[n]
+	if !ok {
+		return
+	}
+	locs := make([]Location, 0, len(prev.Locations))
+	for _, l := range prev.Locations {
+		if l.Address != address {
+			locs = append(locs, l)
+		}
+	}
+	if len(locs) == len(prev.Locations) {
+		return
+	}
+	t := sh.clone(nil)
+	if len(locs) == 0 {
+		delete(t, n)
+	} else {
+		t[n] = Binding{Locations: locs, Epoch: sh.nextEpoch(), Lease: s.lease}
+	}
+	sh.publish(t)
 }
 
 // Unbind removes a binding; unbinding an absent name is a no-op.

@@ -116,6 +116,46 @@ func TestBindReplica(t *testing.T) {
 	}
 }
 
+// TestUnbindReplica: withdrawing one address leaves the other
+// locations in place and advances the epoch; withdrawing the last
+// unbinds the name; absent names and addresses change nothing.
+func TestUnbindReplica(t *testing.T) {
+	s := NewService()
+	n := Resource("acme.org", "mbox")
+	for _, a := range []string{"a:1", "b:1"} {
+		if err := s.BindReplica(n, Location{Address: a}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, _ := s.Resolve(n)
+
+	s.UnbindReplica(n, "c:1") // not a location of n
+	s.UnbindReplica(Resource("acme.org", "other"), "a:1")
+	if b, _ := s.Resolve(n); b.Epoch != before.Epoch || len(b.Locations) != 2 {
+		t.Fatalf("withdrawing an absent address changed the binding: %+v", b)
+	}
+
+	s.UnbindReplica(n, "a:1")
+	b, err := s.Resolve(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b.Locations) != 1 || b.Primary().Address != "b:1" {
+		t.Fatalf("locations = %+v, want [b:1]", b.Locations)
+	}
+	if b.Epoch <= before.Epoch {
+		t.Fatalf("epoch %d did not advance past %d", b.Epoch, before.Epoch)
+	}
+
+	s.UnbindReplica(n, "b:1")
+	if _, err := s.Resolve(n); !errors.Is(err, ErrNotBound) {
+		t.Fatalf("name with no location left: %v, want ErrNotBound", err)
+	}
+	if s.Len() != 0 {
+		t.Fatalf("Len = %d, want 0", s.Len())
+	}
+}
+
 // TestLookupCompat checks the single-address lookup that callers of the
 // removed Lookup method now spell Resolve(n).Primary().
 func TestLookupCompat(t *testing.T) {

@@ -191,6 +191,11 @@ func (e *Engine) AddRule(r Rule) {
 	e.mutate(func(rs *ruleSet) { rs.rules = append(rs.rules, r) })
 }
 
+// Rules returns a copy of the current rule list, in order.
+func (e *Engine) Rules() []Rule {
+	return append([]Rule(nil), e.snap.Load().rules...)
+}
+
 // SetRules replaces the whole rule list.
 func (e *Engine) SetRules(rules []Rule) {
 	e.mutate(func(rs *ruleSet) { rs.rules = append([]Rule(nil), rules...) })
@@ -283,10 +288,13 @@ func (rs *ruleSet) matches(r Rule, owner names.Name, resourcePath string) bool {
 
 // Decide computes the grant for an agent (identified by its verified
 // credentials) requesting the resource at resourcePath whose full method
-// set is allMethods. The result is restricted by the delegated rights in
-// the credentials: a right "path.m" (or a wildcard implying it) must be
-// present for method m to survive.
-func (e *Engine) Decide(c *cred.Credentials, resourcePath string, allMethods []string) Grant {
+// set is allMethods. own are the resource's own rules (an agent's
+// mailbox carries its ACL in its registry entry, not in the engine):
+// they are evaluated together with the engine's rules, so a global deny
+// still dominates them. The result is restricted by the delegated rights
+// in the credentials: a right "path.m" (or a wildcard implying it) must
+// be present for method m to survive.
+func (e *Engine) Decide(c *cred.Credentials, resourcePath string, allMethods []string, own ...Rule) Grant {
 	rs := e.snap.Load()
 
 	allowed := make(map[string]bool)
@@ -303,21 +311,23 @@ func (e *Engine) Decide(c *cred.Credentials, resourcePath string, allMethods []s
 		return ms
 	}
 
-	for _, r := range rs.rules {
-		if !rs.matches(r, c.Owner, resourcePath) {
-			continue
-		}
-		for _, m := range expand(r.Methods) {
-			if r.Deny {
-				denied[m] = true
-			} else {
-				allowed[m] = true
+	for _, rules := range [2][]Rule{rs.rules, own} {
+		for _, r := range rules {
+			if !rs.matches(r, c.Owner, resourcePath) {
+				continue
 			}
-		}
-		if !r.Deny {
-			quota = strictest(quota, r.Quota)
-			if r.TTL > 0 && (ttl == 0 || r.TTL < ttl) {
-				ttl = r.TTL
+			for _, m := range expand(r.Methods) {
+				if r.Deny {
+					denied[m] = true
+				} else {
+					allowed[m] = true
+				}
+			}
+			if !r.Deny {
+				quota = strictest(quota, r.Quota)
+				if r.TTL > 0 && (ttl == 0 || r.TTL < ttl) {
+					ttl = r.TTL
+				}
 			}
 		}
 	}

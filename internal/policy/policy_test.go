@@ -48,6 +48,28 @@ func TestAllowByPrincipal(t *testing.T) {
 	}
 }
 
+// TestOwnRules: a resource's own rules grant like engine rules, only
+// for the decision they are passed to, and an engine deny still
+// dominates them.
+func TestOwnRules(t *testing.T) {
+	e := NewEngine()
+	c := testCreds(t, cred.NewRightSet(cred.All))
+	own := []Rule{{AnyPrincipal: true, Resource: "buf", Methods: []string{"get", "put"}}}
+	if g := e.Decide(c, "buf", bufMethods, own...); !g.Methods["get"] || !g.Methods["put"] || g.Methods["len"] {
+		t.Fatalf("own rules granted %v, want [get put]", g.MethodList())
+	}
+	if g := e.Decide(c, "buf", bufMethods); !g.Empty() {
+		t.Fatalf("own rules leaked into a later decision: %v", g.MethodList())
+	}
+	if g := e.Decide(c, "other", bufMethods, own...); !g.Empty() {
+		t.Fatalf("own rules for buf granted %v on another path", g.MethodList())
+	}
+	e.AddRule(Rule{AnyPrincipal: true, Resource: "buf", Methods: []string{"put"}, Deny: true})
+	if g := e.Decide(c, "buf", bufMethods, own...); !g.Methods["get"] || g.Methods["put"] {
+		t.Fatalf("engine deny did not dominate own allow: %v", g.MethodList())
+	}
+}
+
 func TestAllowWildcardMethods(t *testing.T) {
 	e := NewEngine()
 	e.AddRule(Rule{AnyPrincipal: true, Resource: "buf", Methods: []string{"*"}})

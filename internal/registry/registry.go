@@ -43,7 +43,9 @@ type Entry struct {
 	// and may modify or remove it. Resources installed at server
 	// start belong to the server domain; resources installed by
 	// agents (§5.5 "dynamic extension of server capabilities") belong
-	// to the installing agent's domain — and survive its departure.
+	// to the installing agent's domain. An install_resource resource
+	// survives its installer's departure; a mailbox is removed when
+	// the visit that made it ends.
 	OwnerDomain domain.ID
 	// OwnerPrincipal is the registering principal, kept for audit.
 	OwnerPrincipal names.Name
@@ -129,11 +131,11 @@ func (r *Registry) Register(e Entry) error { return r.register(e, false) }
 // RegisterExclusive adds an entry like Register and, in the same step
 // under the writer lock, claims the entry's policy path: it fails with
 // ErrPathTaken when that path is empty, the wildcard "*", or already the
-// path of another entry. Policy rules match resources by path, so an
-// installer that adds rules for its own entry (an agent's mailbox)
-// registers this way; otherwise its rules would also match whatever
-// else answers to that path — the host's own resources, or with "*"
-// all of them.
+// path of another entry. Server policy rules and cached decisions
+// match resources by path, so an agent installing its own entry (a
+// mailbox, an installed resource) registers this way; otherwise its
+// entry would share the grants of whatever else answers to that path —
+// the host's own resources, or with "*" all of them.
 func (r *Registry) RegisterExclusive(e Entry) error { return r.register(e, true) }
 
 func (r *Registry) register(e Entry, exclusive bool) error {

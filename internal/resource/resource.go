@@ -127,6 +127,13 @@ type Def struct {
 	// proxy's privileged control methods (revocation etc.); the
 	// server domain is always allowed.
 	Controllers []domain.ID
+	// Rules are the resource's own policy rules, decided together with
+	// the server policy's (an agent's mailbox carries its ACL here, so
+	// registering it neither copies the global rule list nor bumps the
+	// policy epoch). They are fixed once the Def is registered: a
+	// change goes through registry Replace, whose epoch bump
+	// invalidates cached decisions.
+	Rules []policy.Rule
 	// OnUse, when set, is called after each successful proxy
 	// invocation (the server wires this to the domain database's
 	// usage records).
@@ -168,7 +175,7 @@ func (d *Def) GetProxy(req Request) (*Proxy, error) {
 		grant, cached = req.Cache.Get(key, d.Path, req.Stamp)
 	}
 	if !cached {
-		grant = req.Policy.Decide(req.Creds, d.Path, d.MethodNames())
+		grant = req.Policy.Decide(req.Creds, d.Path, d.MethodNames(), d.Rules...)
 		if req.Cache != nil {
 			req.Cache.Put(key, d.Path, req.Stamp, grant)
 		}

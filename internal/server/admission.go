@@ -97,7 +97,7 @@ func (s *Server) checkAdmission(a *agent.Agent) error {
 			// to decide over; the binding-time check governs.
 			continue
 		}
-		grant := s.cfg.Policy.Decide(&a.Credentials, def.Path, def.MethodNames())
+		grant := s.cfg.Policy.Decide(&a.Credentials, def.Path, def.MethodNames(), def.Rules...)
 		if grant.Empty() {
 			return fmt.Errorf("%w: manifest demands resource %s but policy grants %s no method on it",
 				ErrAdmission, res, a.Credentials.Owner)

@@ -79,18 +79,20 @@ func (s *Server) invokeProxy(v *visit, br *boundResource, method string, args []
 // installAgentResource registers an agent-provided resource (Fig. 6
 // step 1, performed by an agent: §5.5's dynamic extension of server
 // capabilities). Registration is a mediated operation; the entry is
-// owned by the installing agent's domain and survives its departure.
-// The entry must claim a policy path no other entry holds (not empty,
-// not "*"), checked and registered in one registry step: rules are keyed
-// by path, so an agent's rules for its own resource must not match the
-// host's resources. Any accompanying policy rules are added only after
-// the install succeeded, so a rejected registration leaves no dangling
-// grants.
+// owned by the installing agent's domain. The entry must claim a policy
+// path no other entry holds (not empty, not "*"), checked and
+// registered in one registry step: the decision cache and any host
+// rules match resources by path, so an agent's resource must not answer
+// to the host's. The accompanying rules ride in the Def itself, so the
+// entry and its rules are published in that same step — no peer can
+// bind in between and be judged without them — and the global policy
+// is neither copied nor re-epoched.
 func (s *Server) installAgentResource(v *visit, rn names.Name, def *resource.Def, rules ...policy.Rule) error {
 	if err := s.secmgr.Check(v.dom, sandbox.OpRegistryRegister,
 		sandbox.Target{Domain: v.dom, Name: rn.String()}); err != nil {
 		return err
 	}
+	def.Rules = rules
 	if err := s.reg.RegisterExclusive(registry.Entry{
 		Name:           rn,
 		Resource:       def,
@@ -101,10 +103,8 @@ func (s *Server) installAgentResource(v *visit, rn names.Name, def *resource.Def
 		return err
 	}
 	if err := s.publishResource(rn); err != nil {
+		_ = s.reg.Unregister(v.dom, rn) // unpublished: nothing may outlive the error
 		return err
-	}
-	for _, r := range rules {
-		s.cfg.Policy.AddRule(r)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"repro/internal/names"
 	"repro/internal/policy"
@@ -256,8 +257,10 @@ func (s *Server) installHostAPI(v *visit) {
 			return vm.Nil(), ErrBadHandle
 		}
 		proxy := br.proxy
+		ms := proxy.MethodNames()
+		sort.Strings(ms) // map order otherwise; agents see one list
 		var out []vm.Value
-		for _, m := range proxy.MethodNames() {
+		for _, m := range ms {
 			if proxy.IsEnabled(m) {
 				out = append(out, vm.S(m))
 			}
@@ -338,6 +341,7 @@ func (s *Server) installHostAPI(v *visit) {
 			policySendRule(path)); err != nil {
 			return vm.Nil(), err
 		}
+		v.mailboxes = append(v.mailboxes, rn)
 		return vm.B(true), nil
 	}
 

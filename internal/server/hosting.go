@@ -203,6 +203,15 @@ func (s *Server) host(a *agent.Agent) {
 			s.finalMu.Unlock()
 		}
 		_ = s.db.RevokeAll(domain.ServerID, dom)
+		// The visit's mailboxes die with it (§5.5's expiration of
+		// agent-made grants); see newMailbox.
+		for _, rn := range v.mailboxes {
+			_ = s.reg.Unregister(dom, rn)
+			s.cfg.NameService.UnbindReplica(rn, s.cfg.Address)
+			v.mailMu.Lock()
+			v.mailClosed, v.mailbox = true, nil
+			v.mailMu.Unlock()
+		}
 		_ = s.db.Remove(domain.ServerID, dom)
 	}
 	defer finish(domain.StatusTerminated) // backstop; normally a no-op

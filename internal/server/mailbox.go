@@ -22,7 +22,10 @@ const mailboxCapacity = 1024
 // resource" — peers obtain proxies to the mailbox and invoke send;
 // the owning agent drains it with the recv primitive. The proxy layer
 // supplies authentication of the sender's domain and policy-based
-// screening for free.
+// screening for free. A mailbox lives exactly as long as the visit
+// that made it: the visit's finish unregisters it, withdraws this
+// server's location from its name and closes the queue, so a proxy a
+// peer still holds fails its next send.
 func (s *Server) newMailbox(v *visit, rn names.Name, path string) *resource.Def {
 	return &resource.Def{
 		ResourceImpl: resource.ResourceImpl{
@@ -43,6 +46,9 @@ func (s *Server) newMailbox(v *visit, rn names.Name, path string) *resource.Def 
 				}
 				v.mailMu.Lock()
 				defer v.mailMu.Unlock()
+				if v.mailClosed {
+					return vm.Nil(), fmt.Errorf("server: mailbox %s closed: its owner departed", rn)
+				}
 				if len(v.mailbox) >= mailboxCapacity {
 					return vm.Nil(), fmt.Errorf("server: mailbox %s full", rn)
 				}

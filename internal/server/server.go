@@ -206,8 +206,12 @@ type visit struct {
 	// migrate is set by the go host call: destination + entry.
 	migrateDest  names.Name
 	migrateEntry string
-	mailbox      []vm.Value
-	mailMu       sync.Mutex
+	// mailboxes names the mailboxes this visit registered; finish
+	// unregisters them, withdraws their names and closes the queue.
+	mailboxes  []names.Name
+	mailbox    []vm.Value
+	mailClosed bool
+	mailMu     sync.Mutex
 }
 
 // boundResource is one live resource handle: the proxy plus the

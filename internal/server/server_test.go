@@ -84,8 +84,15 @@ func (f *fixture) startServer(t *testing.T, short, addr string, ns *names.Servic
 
 func (f *fixture) agent(t *testing.T, name, src string, it agent.Itinerary, home string) *agent.Agent {
 	t.Helper()
-	c, err := cred.Issue(f.owner, names.Agent("umn.edu", name),
-		f.owner.Name, cred.NewRightSet(cred.All), time.Hour, home)
+	return f.agentOf(t, f.owner, name, src, it, home)
+}
+
+// agentOf builds an agent like agent, owned by owner instead of the
+// fixture's owner.
+func (f *fixture) agentOf(t *testing.T, owner keys.Identity, name, src string, it agent.Itinerary, home string) *agent.Agent {
+	t.Helper()
+	c, err := cred.Issue(owner, names.Agent("umn.edu", name),
+		owner.Name, cred.NewRightSet(cred.All), time.Hour, home)
 	if err != nil {
 		t.Fatal(err)
 	}
