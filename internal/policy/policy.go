@@ -191,11 +191,6 @@ func (e *Engine) AddRule(r Rule) {
 	e.mutate(func(rs *ruleSet) { rs.rules = append(rs.rules, r) })
 }
 
-// Rules returns a copy of the current rule list, in order.
-func (e *Engine) Rules() []Rule {
-	return append([]Rule(nil), e.snap.Load().rules...)
-}
-
 // SetRules replaces the whole rule list.
 func (e *Engine) SetRules(rules []Rule) {
 	e.mutate(func(rs *ruleSet) { rs.rules = append([]Rule(nil), rules...) })

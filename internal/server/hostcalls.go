@@ -334,6 +334,12 @@ func (s *Server) installHostAPI(v *visit) {
 		if err != nil {
 			return vm.Nil(), fmt.Errorf("%w: mailbox name: %v", ErrBadArg, err)
 		}
+		// Departure withdraws this server's location from the name, so
+		// it must be a resource in the owner's own namespace: never a
+		// server's or an agent's name, nor another domain's resource.
+		if own := a.Credentials.Owner.Authority; rn.Kind != names.KindResource || rn.Authority != own {
+			return vm.Nil(), fmt.Errorf("%w: mailbox name %s is not a resource of %s", ErrBadArg, rn, own)
+		}
 		def := s.newMailbox(v, rn, path)
 		// The owner gets full access; everyone else may only send.
 		if err := s.installAgentResource(v, rn, def,

@@ -204,10 +204,14 @@ func (s *Server) host(a *agent.Agent) {
 		}
 		_ = s.db.RevokeAll(domain.ServerID, dom)
 		// The visit's mailboxes die with it (§5.5's expiration of
-		// agent-made grants); see newMailbox.
+		// agent-made grants); see newMailbox. The location goes first:
+		// while the entry still holds the name no successor can
+		// register it, so its bind cannot be withdrawn here.
 		for _, rn := range v.mailboxes {
-			_ = s.reg.Unregister(dom, rn)
 			s.cfg.NameService.UnbindReplica(rn, s.cfg.Address)
+			_ = s.reg.Unregister(dom, rn)
+		}
+		if len(v.mailboxes) > 0 {
 			v.mailMu.Lock()
 			v.mailClosed, v.mailbox = true, nil
 			v.mailMu.Unlock()
