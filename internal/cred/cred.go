@@ -196,6 +196,13 @@ func (c *Credentials) EffectiveExpiry() time.Time {
 //     signature, and only narrows the rights of its predecessor.
 //
 // This is what a receiving server runs before admitting an agent.
+//
+// Every signature goes through v's cache (keys.Verifier.VerifySig),
+// keyed on the signer key, the exact signed bytes and the signature, so
+// a server verifies a given credential's signatures once: an agent's
+// second visit and its homecoming hit. Everything else runs on every
+// call: certificate windows and revocation, the owner-cert subject,
+// the effective expiry, the delegation subjects and rights narrowing.
 func (c *Credentials) Verify(v keys.Verifier, at time.Time) error {
 	if err := v.Check(c.OwnerCert, at); err != nil {
 		return fmt.Errorf("cred: owner cert: %w", err)
@@ -203,7 +210,7 @@ func (c *Credentials) Verify(v keys.Verifier, at time.Time) error {
 	if c.OwnerCert.Subject != c.Owner {
 		return fmt.Errorf("%w: owner cert subject %s != owner %s", ErrBadCredSignature, c.OwnerCert.Subject, c.Owner)
 	}
-	if !keys.Verify(ed25519.PublicKey(c.OwnerCert.PublicKey), c.baseTBS(), c.Signature) {
+	if !v.VerifySig(ed25519.PublicKey(c.OwnerCert.PublicKey), c.baseTBS(), c.Signature) {
 		return fmt.Errorf("%w: base record", ErrBadCredSignature)
 	}
 	if at.After(c.EffectiveExpiry()) {
@@ -217,7 +224,7 @@ func (c *Credentials) Verify(v keys.Verifier, at time.Time) error {
 		if d.Cert.Subject != d.Delegator {
 			return fmt.Errorf("%w: delegation %d subject mismatch", ErrBrokenChain, i)
 		}
-		if !keys.Verify(ed25519.PublicKey(d.Cert.PublicKey), c.delegationTBS(i), d.Signature) {
+		if !v.VerifySig(ed25519.PublicKey(d.Cert.PublicKey), c.delegationTBS(i), d.Signature) {
 			return fmt.Errorf("%w: delegation %d signature", ErrBrokenChain, i)
 		}
 		if !d.Rights.SubsetOf(prev) {

@@ -1,29 +1,42 @@
 package keys
 
 import (
-	"container/list"
 	"crypto/sha256"
+	"encoding/binary"
 	"sync"
 )
 
-// CheckCache memoizes *successful* CA signature verifications, bounded
-// LRU. A transfer endpoint sees the same few peer certificates over and
-// over (every handshake with a repeat peer re-presents its cert); the
-// ed25519 signature over the identical bytes does not need re-checking.
-// Only the signature step is cached — issuer identity, the validity
-// window and the revocation oracle are evaluated live on every Check,
-// so caching never extends trust in time or past a revocation. Failed
-// verifications are not cached: a negative result costs one ed25519
-// operation and poisoning the cache with attacker-chosen garbage keys
-// would only evict useful entries.
-type CheckCache struct {
-	mu  sync.Mutex
-	cap int
-	ll  *list.List // front = most recently used; values are [32]byte keys
-	m   map[[32]byte]*list.Element
+// Table geometry: checkSets sets of checkWays entries, each entry a
+// 32-byte digest, so a cache is a fixed 8 KB whatever it has seen.
+const (
+	checkSets      = 64
+	checkWays      = 4
+	checkCacheSize = checkSets * checkWays
+)
 
-	hits   uint64
-	misses uint64
+// CheckCache memoizes *successful* signature verifications in a fixed
+// table: 64 sets of 4 digests, least recently used first out within a
+// set. Certificates of repeat peers and the credentials of an agent
+// that comes back to a server it already admitted (a second visit, the
+// homecoming) re-present the same signature over the same bytes; the
+// ed25519 check does not need repeating. Only the signature step is
+// cached: issuer identity, validity windows, expiry and the revocation
+// oracle are evaluated live by every caller, so caching never extends
+// trust in time or past a revocation. Failed verifications are not
+// cached: a negative result costs one ed25519 operation, and caching
+// attacker-chosen garbage would only evict useful entries.
+//
+// The table never grows and a lookup or insert allocates nothing, so a
+// server that sees a fresh credential per agent holds 8 KB of verdicts,
+// not one heap object per agent ever admitted. The zero value is an
+// empty cache.
+type CheckCache struct {
+	mu   sync.Mutex
+	sets [checkSets][checkWays][32]byte // way 0 = most recently used; zero = empty
+
+	hits    uint64
+	misses  uint64
+	entries int
 }
 
 // CheckCacheStats reports cache effectiveness.
@@ -33,68 +46,62 @@ type CheckCacheStats struct {
 	Entries int
 }
 
-// NewCheckCache builds a cache holding at most capacity verified
-// signatures (capacity <= 0 means 512).
-func NewCheckCache(capacity int) *CheckCache {
-	if capacity <= 0 {
-		capacity = 512
-	}
-	return &CheckCache{
-		cap: capacity,
-		ll:  list.New(),
-		m:   make(map[[32]byte]*list.Element),
-	}
-}
-
-// key binds the cached verdict to the exact CA key, signed bytes and
-// signature, so a cert re-issued under the same subject (new key, new
-// window) never matches a stale entry.
-func (c *CheckCache) key(caKey, tbs, sig []byte) [32]byte {
+// key binds a verdict to the exact signer key, signed bytes and
+// signature. Each part is length-prefixed, so no two distinct triples
+// hash the same bytes: a certificate re-issued under the same subject
+// (new key, new window), a changed signed field or a forged signature
+// never matches a stale entry.
+func (c *CheckCache) key(signer, msg, sig []byte) [32]byte {
 	h := sha256.New()
-	h.Write(caKey)
-	h.Write(tbs)
-	h.Write(sig)
+	var n [8]byte
+	for _, p := range [...][]byte{signer, msg, sig} {
+		binary.BigEndian.PutUint64(n[:], uint64(len(p)))
+		h.Write(n[:])
+		h.Write(p)
+	}
 	var k [32]byte
 	h.Sum(k[:0])
 	return k
 }
 
-// verified reports whether this exact (CA key, tbs, signature) triple
-// has already passed ed25519 verification.
-func (c *CheckCache) verified(caKey, tbs, sig []byte) bool {
-	k := c.key(caKey, tbs, sig)
+// hit reports whether k was recorded, making it its set's most recent
+// entry.
+func (c *CheckCache) hit(k *[32]byte) bool {
+	set := &c.sets[k[0]%checkSets]
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.m[k]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		return true
+	for i := range set {
+		if set[i] == *k {
+			copy(set[1:i+1], set[:i])
+			set[0] = *k
+			c.hits++
+			return true
+		}
 	}
 	c.misses++
 	return false
 }
 
-// add records a successful verification, evicting the least recently
-// used entry at capacity.
-func (c *CheckCache) add(caKey, tbs, sig []byte) {
-	k := c.key(caKey, tbs, sig)
+// add records a successful verification as its set's most recent entry,
+// dropping the set's least recently used one when the set is full.
+func (c *CheckCache) add(k *[32]byte) {
+	set := &c.sets[k[0]%checkSets]
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.m[k]; ok {
-		c.ll.MoveToFront(el)
-		return
+	i := 0
+	for i < checkWays-1 && set[i] != *k && set[i] != ([32]byte{}) {
+		i++
 	}
-	c.m[k] = c.ll.PushFront(k)
-	if c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.m, oldest.Value.([32]byte))
+	if set[i] == ([32]byte{}) {
+		c.entries++
 	}
+	copy(set[1:i+1], set[:i])
+	set[0] = *k
 }
 
 // Stats returns hit/miss counters and current occupancy.
 func (c *CheckCache) Stats() CheckCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CheckCacheStats{Hits: c.hits, Misses: c.misses, Entries: c.ll.Len()}
+	return CheckCacheStats{Hits: c.hits, Misses: c.misses, Entries: c.entries}
 }

@@ -178,13 +178,17 @@ type Verifier struct {
 	// (e.g. a disconnected server); expiry then bounds misuse.
 	IsRevoked func(names.Name) bool
 	// Cache, when non-nil, memoizes successful signature checks (the
-	// ed25519 step only — validity and revocation stay live). Repeat
-	// peers then skip the expensive verify in every handshake.
+	// ed25519 step only — validity and revocation stay live): the CA
+	// signatures of Check and every VerifySig. Repeat peers then skip
+	// the expensive verify in every handshake, and an agent arriving
+	// again at a server skips it for its credential signatures.
 	Cache *CheckCache
 }
 
 // Verifier returns a relying-party verifier wired to this registry,
-// with signature-check caching on (repeat peers are the common case).
+// with signature-check caching on (repeat peers and returning agents
+// are the common case). Each call returns a verifier with its own
+// cache.
 func (r *Registry) Verifier() Verifier {
 	return Verifier{
 		CAName: r.caName,
@@ -194,7 +198,7 @@ func (r *Registry) Verifier() Verifier {
 			defer r.mu.RUnlock()
 			return r.revoked[n]
 		},
-		Cache: NewCheckCache(0),
+		Cache: new(CheckCache),
 	}
 }
 
@@ -205,14 +209,8 @@ func (v Verifier) Check(c Certificate, at time.Time) error {
 	if c.Issuer != v.CAName {
 		return fmt.Errorf("%w: issuer %s", ErrUnknownCA, c.Issuer)
 	}
-	tbs := c.tbs()
-	if v.Cache == nil || !v.Cache.verified(v.CAKey, tbs, c.Signature) {
-		if !Verify(v.CAKey, tbs, c.Signature) {
-			return fmt.Errorf("%w: cert for %s", ErrBadSignature, c.Subject)
-		}
-		if v.Cache != nil {
-			v.Cache.add(v.CAKey, tbs, c.Signature)
-		}
+	if !v.VerifySig(v.CAKey, c.tbs(), c.Signature) {
+		return fmt.Errorf("%w: cert for %s", ErrBadSignature, c.Subject)
 	}
 	if at.Before(c.NotBefore) {
 		return fmt.Errorf("%w: cert for %s", ErrNotYetValid, c.Subject)
@@ -224,6 +222,27 @@ func (v Verifier) Check(c Certificate, at time.Time) error {
 		return fmt.Errorf("%w: cert for %s", ErrRevoked, c.Subject)
 	}
 	return nil
+}
+
+// VerifySig is Verify through the verifier's cache: a signature that
+// already verified over the same bytes under the same key (the cache
+// key is the exact triple) is accepted without repeating the ed25519
+// check. Only successes are cached, so a forged signature or any
+// changed signed byte misses and is checked for real. Callers keep
+// every time- and revocation-dependent check live.
+func (v Verifier) VerifySig(pub ed25519.PublicKey, msg, sig []byte) bool {
+	if v.Cache == nil || len(pub) != ed25519.PublicKeySize {
+		return Verify(pub, msg, sig)
+	}
+	k := v.Cache.key(pub, msg, sig)
+	if v.Cache.hit(&k) {
+		return true
+	}
+	if !ed25519.Verify(pub, msg, sig) {
+		return false
+	}
+	v.Cache.add(&k)
+	return true
 }
 
 // caState is the serialized form of a CA: its name and private seed.

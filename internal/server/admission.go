@@ -9,12 +9,15 @@
 package server
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/agent"
 	"repro/internal/names"
 	"repro/internal/resource"
+	"repro/internal/vm"
 	"repro/internal/vm/analysis"
 )
 
@@ -37,7 +40,9 @@ const (
 var ErrAdmission = errors.New("admission denied")
 
 // checkAdmission runs the manifest admission check. The bundle has
-// already passed vm.VerifyBundle and the code-digest check.
+// already passed vm.VerifyBundle and the code-digest check; pinned is
+// the bundle's digest when that check matched it against the
+// owner-signed one, nil for an unpinned bundle.
 //
 // The effective manifest is the carried (owner-declared) one when the
 // agent travels with a declaration — after re-verifying that it covers
@@ -49,8 +54,8 @@ var ErrAdmission = errors.New("admission denied")
 // and every entry is judged against the same registry generation — a
 // concurrent install/unregister cannot make the verdict incoherent
 // mid-manifest.
-func (s *Server) checkAdmission(a *agent.Agent) error {
-	computed, err := analysis.ComputeManifest(a.Code)
+func (s *Server) checkAdmission(a *agent.Agent, pinned []byte) error {
+	computed, err := s.bundleManifest(a.Code, pinned)
 	if err != nil {
 		// Fail-closed: a bundle the analyzer cannot reason about is
 		// not hosted.
@@ -104,4 +109,53 @@ func (s *Server) checkAdmission(a *agent.Agent) error {
 		}
 	}
 	return nil
+}
+
+// bundleManifest returns the access manifest computed from code. The
+// manifest is a function of the code alone, so for a pinned bundle —
+// pinned is the digest admit recomputed from code and found equal to
+// the owner-signed one — it is computed once per server and memoized
+// under that digest: every later journey of the same bundle, and every
+// return of the same agent, reuses it. What the manifest is judged
+// against (the declared manifest, the registry, the policy) is never
+// memoized. An unpinned bundle is analyzed on every arrival.
+func (s *Server) bundleManifest(code []vm.Module, pinned []byte) (*analysis.Manifest, error) {
+	if pinned == nil {
+		return analysis.ComputeManifest(code)
+	}
+	if m := s.manifests.get(pinned); m != nil {
+		return m, nil
+	}
+	m, err := analysis.ComputeManifest(code)
+	if err == nil {
+		s.manifests.put(pinned, m)
+	}
+	return m, err
+}
+
+// manifestMemoSize bounds the manifests a server memoizes.
+const manifestMemoSize = 64
+
+// manifestMemo maps bundle digests to their computed manifests in a
+// fixed direct-mapped table: a digest's slot is picked by its first
+// byte, and a new digest replaces whatever held its slot. Memoized
+// manifests are shared and never modified.
+type manifestMemo [manifestMemoSize]atomic.Pointer[memoEntry]
+
+type memoEntry struct {
+	digest [sha256.Size]byte
+	m      *analysis.Manifest
+}
+
+func (mm *manifestMemo) get(digest []byte) *analysis.Manifest {
+	if e := mm[digest[0]%manifestMemoSize].Load(); e != nil && string(e.digest[:]) == string(digest) {
+		return e.m
+	}
+	return nil
+}
+
+func (mm *manifestMemo) put(digest []byte, m *analysis.Manifest) {
+	e := &memoEntry{m: m}
+	copy(e.digest[:], digest)
+	mm[digest[0]%manifestMemoSize].Store(e)
 }

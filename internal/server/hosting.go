@@ -22,7 +22,10 @@ import (
 // admit is the arrival gate: credential verification ("mutual
 // authentication of the agent and server"), tier admission (load
 // shedding), bundle verification, and admission control. Rejections
-// travel back to the sending server.
+// travel back to the sending server. Signature verdicts (through the
+// verifier's cache) and the manifests of pinned bundles are computed
+// once per server; every other check runs on each arrival
+// (docs/PROTOCOLS.md §3.1).
 func (s *Server) admit(a *agent.Agent, from names.Name) error {
 	if err := a.Credentials.Verify(s.cfg.Verifier, time.Now()); err != nil {
 		return fmt.Errorf("credentials: %w", err)
@@ -55,6 +58,7 @@ func (s *Server) admit(a *agent.Agent, from names.Name) error {
 	// Code-integrity check (§2): when the owner pinned the bundle
 	// digest, a host that patched or swapped the agent's code en route
 	// is caught here.
+	var pinned []byte
 	if len(a.Credentials.CodeDigest) > 0 {
 		digest, err := agent.BundleDigest(a.Code)
 		if err != nil {
@@ -63,12 +67,13 @@ func (s *Server) admit(a *agent.Agent, from names.Name) error {
 		if !bytes.Equal(digest, a.Credentials.CodeDigest) {
 			return errors.New("code does not match the owner-signed digest")
 		}
+		pinned = digest
 	}
 	// Manifest admission control (admission.go): reject agents whose
 	// statically computed access needs exceed what this server's
 	// policy would ever grant them — before any VM starts.
 	if s.cfg.Admission == AdmissionEnforce {
-		if err := s.checkAdmission(a); err != nil {
+		if err := s.checkAdmission(a, pinned); err != nil {
 			s.stats.admissionRejects.Add(1)
 			return err
 		}

@@ -138,6 +138,9 @@ type Server struct {
 	// limits and concurrency quotas) at the arrival gate, shedding
 	// over-limit agents back to their sender with a retry-after hint.
 	gate *admission.Gate
+	// manifests memoizes the access manifests of pinned bundles
+	// (admission.go bundleManifest).
+	manifests manifestMemo
 
 	// netMu guards the listener state (lifecycle.go): the live
 	// listener incarnation and the inbound transfer streams.

@@ -49,14 +49,37 @@ func (s *Server) newVMResource(v *visit, rn names.Name, modName, path string) (*
 	}
 
 	// One private environment serves every method call: mu serializes
-	// the calls, so its globals, builtins, inline caches and stack
-	// arena are reused; only the fuel budget is fresh per call.
+	// the calls, so its globals, builtins, inline caches, stack arena
+	// and argument buffer are reused; only the fuel budget is fresh
+	// per call.
+	//
+	// Values cross into and out of the resource as deep copies, as
+	// mailbox send and report take them: vm.Run copies the argument
+	// Values but not the lists and maps they point to, so a caller
+	// that kept a list it stored, or a list a method returned, could
+	// otherwise change the resource's state with no further call.
 	env := vm.NewEnv()
 	env.Resolver = vm.ModuleResolver{M: mod}
 	vm.InstallBuiltins(env)
+	var in []vm.Value
 	runIn := func(fn string, args []vm.Value) (vm.Value, error) {
+		in = in[:0]
+		for _, a := range args {
+			if err := a.CheckDepth(); err != nil {
+				return vm.Nil(), err
+			}
+			in = append(in, a.Clone())
+		}
 		env.Meter = vm.NewMeter(vmResourceFuel)
-		return vm.Run(env, mod, fn, args...)
+		out, err := vm.Run(env, mod, fn, in...)
+		clear(in) // the buffer outlives the call; its values must not
+		if err != nil {
+			return vm.Nil(), err
+		}
+		if err := out.CheckDepth(); err != nil {
+			return vm.Nil(), err
+		}
+		return out.Clone(), nil
 	}
 
 	var mu sync.Mutex

@@ -144,3 +144,28 @@ func bump(by) { state = state + len(str(by)) return state }`)
 		t.Fatalf("resource state %v, agent state %v, want %d each", last, a.State["state"], n)
 	}
 }
+
+// TestVMResourceCopiesValues: lists cross into and out of an installed
+// resource as copies. A writer that changes the list it stored, and a
+// reader that changes the list get returned, change neither the
+// resource's state nor what the next caller reads.
+func TestVMResourceCopiesValues(t *testing.T) {
+	m, _, _ := installVMResource(t, `module store
+var table = {}
+func put(k, v) { table[k] = v return true }
+func get(k) { return table[k] }`)
+	l := vm.L(vm.I(1), vm.I(2))
+	if _, err := m["put"]([]vm.Value{vm.S("w"), l}); err != nil {
+		t.Fatal(err)
+	}
+	l.List[0] = vm.I(99) // the writer's l[0] = 99 after put
+	want := vm.L(vm.I(1), vm.I(2))
+	got, err := m["get"]([]vm.Value{vm.S("w")})
+	if err != nil || !got.Equal(want) {
+		t.Fatalf("get after the writer's change = %v, %v, want %v", got, err, want)
+	}
+	got.List[1] = vm.I(-5) // a reader's write to the returned list
+	if again, err := m["get"]([]vm.Value{vm.S("w")}); err != nil || !again.Equal(want) {
+		t.Fatalf("get after a reader's change = %v, %v, want %v", again, err, want)
+	}
+}
